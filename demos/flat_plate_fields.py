@@ -40,7 +40,7 @@ for c in (-p.H / 2, 0.0, p.H):
     psi_exact_2 = fam.h2(pf.x[None, :], z2, c)
     err = max(np.abs(pf.psi1 - psi_exact_1).max(), np.abs(pf.psi2 - psi_exact_2).max())
 
-    Ee = solver.electrostatic_energy(pf, u)
+    Ee = solver.electrostatic_energy(pf)
     Ee_exact = -(2 * p.L / 2) * p.V**2 * p.sigma1 * p.sigma2 / den
     g = compute_force(u, pf, fam, p)
     g_exact = force_analytic_flat(c, fam, p)

@@ -14,10 +14,7 @@ from .fields import (
     FieldSolver,
     GapMap,
     PotentialField,
-    boundary_data_energy,
     check_max_principle,
-    electrostatic_energy,
-    solve_potential,
 )
 from .forces import (
     ForceProfile,

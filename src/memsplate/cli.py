@@ -1,7 +1,8 @@
 """Command-line front end: solve, sweep, verify.
 
-Exit codes: 0 success, 2 configuration / input error, 3 solver failure,
-4 certificate failure, 5 verification failure or incompatible state.
+Exit codes: 0 success, 2 configuration / input error, 3 solver failure
+(for a sweep: any point that did not converge), 4 certificate failure,
+5 verification failure or incompatible state.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .io_files import (
     write_potential_csv,
     write_trajectory,
 )
-from .minimize import SolveContext, continuation_pipeline, make_context, minimize_Ek
+from .minimize import EnergyReport, SolveContext, continuation_pipeline, make_context, minimize_Ek
 from .verify import check_coincidence_interval, run_suite
 
 log = logging.getLogger("memsplate")
@@ -82,17 +83,14 @@ def _manifest(bundle: ConfigBundle, ctx: SolveContext, outdir: Path, files: list
     }
 
 
-def _write_state_outputs(ctx: SolveContext, u, outdir: Path) -> list:
-    """u.csv, psi.csv, g.csv, contact.csv, psi_meta.json for one state."""
-    from .forces import compute_force
-
-    pf = ctx.field.solve(u)
-    gprof = compute_force(u, pf, ctx.family, ctx.p)
+def _write_state_outputs(ctx: SolveContext, u, report: EnergyReport, outdir: Path) -> list:
+    """u.csv, psi.csv, g.csv, contact.csv, psi_meta.json for one state and its report."""
+    pf = report.potential
     write_plate_csv(outdir / "u.csv", u)
     write_potential_csv(outdir / "psi.csv", pf, ctx.p.H)
     write_contact_csv(outdir / "contact.csv", pf)
     write_json(outdir / "psi_meta.json", potential_meta(pf))
-    write_force_csv(outdir / "g.csv", gprof)
+    write_force_csv(outdir / "g.csv", report.force)
     return ["u.csv", "psi.csv", "contact.csv", "psi_meta.json", "g.csv"]
 
 
@@ -120,7 +118,7 @@ def cmd_solve(args) -> int:
         return 3
     t_solved = time.time()
 
-    files = _write_state_outputs(ctx, u, outdir)
+    files = _write_state_outputs(ctx, u, report, outdir)
     write_json(outdir / "energy.json", report.as_dict())
     write_json(outdir / "certificate.json", certificate)
     write_trajectory(outdir / "trajectory.jsonl", report.trajectory)
@@ -169,8 +167,18 @@ def _run_sweep_point(ctx: SolveContext, warm: PlateState, V: float) -> dict:
         "contact_measure": coin.n_contact * ctx.plate.h,
         "is_interval": coin.is_interval,
         "vi_residual": report.vi_residual,
+        "iterations": report.iterations,
         "dofs": u.dofs.tolist(),
     }
+
+
+def _log_point(row: dict) -> None:
+    """One line per sweep point; a point that did not converge logs at error level."""
+    level = logging.INFO if row["status"] == "converged" else logging.ERROR
+    log.log(
+        level, "V=%.4g: %s min_u=%.5f contact=%.4g", row["V"], row["status"],
+        row["min_u"], row["contact_measure"],
+    )
 
 
 def cmd_sweep(args) -> int:
@@ -192,6 +200,8 @@ def cmd_sweep(args) -> int:
         payloads = [(args.config, float(V)) for V in volts]
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_sweep_point, payloads))
+        for row in rows:
+            _log_point(row)
     else:
         warm = None
         for V in volts:
@@ -199,39 +209,39 @@ def cmd_sweep(args) -> int:
             row = _run_sweep_point(ctx, warm, float(V))
             warm = PlateState(ctx.plate, np.array(row["dofs"]))
             rows.append(row)
-            log.info(
-                "V=%.4g: %s min_u=%.5f contact=%.4g", V, row["status"],
-                row["min_u"], row["contact_measure"],
-            )
+            _log_point(row)
 
     files = []
     import csv as _csv
 
     with open(outdir / "sweep.csv", "w", newline="") as fh:
         w = _csv.writer(fh)
-        w.writerow(["V", "E", "E_m", "E_e", "min_u", "contact_measure", "is_interval"])
+        w.writerow([
+            "V", "E", "E_m", "E_e", "min_u", "contact_measure", "is_interval",
+            "status", "vi_residual", "iterations",
+        ])
         for row in sorted(rows, key=lambda r: r["V"]):
             w.writerow([
                 repr(row["V"]), repr(row["E"]), repr(row["E_m"]), repr(row["E_e"]),
                 repr(row["min_u"]), repr(row["contact_measure"]), int(row["is_interval"]),
+                row["status"], repr(row["vi_residual"]), row["iterations"],
             ])
     files.append("sweep.csv")
 
+    # the device grids do not depend on V: one context serves the point files and the manifest
+    ctx = _context_from_bundle(bundle)
     for row in rows:
         sub = outdir / f"V_{row['V']:.6g}"
         sub.mkdir(exist_ok=True)
-        ctx = _context_from_bundle(bundle.with_V(row["V"]))
-        u = PlateState(ctx.plate, np.array(row["dofs"]))
-        write_plate_csv(sub / "u.csv", u)
+        write_plate_csv(sub / "u.csv", PlateState(ctx.plate, np.array(row["dofs"])))
         write_json(sub / "point.json", {k: v for k, v in row.items() if k != "dofs"})
 
-    ctx = _context_from_bundle(bundle)
     timings = {"total_s": time.time() - t_start}
     write_json(outdir / "manifest.json", _manifest(bundle, ctx, outdir, files, timings))
 
     n_fail = sum(1 for r in rows if r["status"] != "converged")
     log.info("sweep finished: %d/%d points converged", len(rows) - n_fail, len(rows))
-    return 0 if n_fail < len(rows) else 3
+    return 0 if n_fail == 0 else 3
 
 
 def cmd_verify(args) -> int:

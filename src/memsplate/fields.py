@@ -38,9 +38,6 @@ __all__ = [
     "GapMap",
     "PotentialField",
     "FieldSolver",
-    "solve_potential",
-    "electrostatic_energy",
-    "boundary_data_energy",
     "check_max_principle",
     "contact_threshold",
 ]
@@ -89,13 +86,16 @@ class FieldGrid:
 
 @dataclass
 class GapMap:
-    """Per-column gap geometry for one plate state."""
+    """Gap geometry of one plate state, per column and at the quadrature points."""
 
     x: np.ndarray            # field column coordinates
     gamma: np.ndarray        # gap height u + H per column
     dgamma: np.ndarray       # slope u' per column
     contact: np.ndarray      # boolean mask, True where gamma <= eps_contact
     eps_contact: float
+    elems: np.ndarray        # indices of the x-elements kept in the gap domain
+    gamma_q: np.ndarray      # u + H at the two x-Gauss points of each kept element (nkx, 2)
+    dgamma_q: np.ndarray     # u' at the same points
 
 
 @dataclass
@@ -115,8 +115,6 @@ class PotentialField:
     boundary_inf: float
     boundary_sup: float
     residual: float
-    iterations: int
-    method: str
 
     @property
     def contact_mask(self) -> np.ndarray:
@@ -134,10 +132,9 @@ class FieldSolver:
     contributions are built once per (params, grid) and reused; only the gap
     block is reassembled per state.
 
-    Solves are pure functions of (state, params, data), but one instance
-    holds scratch state between calls: share results across threads, not a
-    solver; concurrent solves need one instance each (they are cheap to
-    build, the layer assembly dominates and is recomputed in milliseconds).
+    The instance holds only this state-independent structure and no method
+    modifies it: every per-state quantity lives in the returned GapMap and
+    PotentialField.
     """
 
     def __init__(
@@ -145,20 +142,12 @@ class FieldSolver:
         p: PhysicalParams,
         family: BoundaryDataFamily,
         grid: FieldGrid = FieldGrid(),
-        plate_h: float = None,
         tol_lin: float = 1e-10,
-        method: str = "direct",
-        maxiter_factor: int = 50,
     ):
-        if method not in ("direct", "cg"):
-            raise ValueError("method must be 'direct' or 'cg'")
         self.p = p
         self.family = family
         self.grid = grid
         self.tol_lin = tol_lin
-        self.method = method
-        self.maxiter_factor = maxiter_factor
-        self._default_plate_h = plate_h
 
         nx, nz1, nz2 = grid.n_x, grid.n_z1, grid.n_z2
         self.x = np.linspace(-p.L, p.L, nx + 1)
@@ -175,9 +164,20 @@ class FieldSolver:
         idx2[1:] = self.n1 + np.arange(nz2 * (nx + 1)).reshape(nz2, nx + 1)
         self.idx2 = idx2
         self.n_nodes = self.n1 + nz2 * (nx + 1)
+        # element corners: layer corners index psi1 (and the global unknowns),
+        # gap corners index psi2, as (nz2, nx, 4)
+        self._conn1 = self._elem_nodes(self.idx1)
+        self._conn2 = self._elem_nodes(np.arange(idx2.size).reshape(idx2.shape)).reshape(nz2, nx, 4)
+
+        # Gauss points: x per element (nx, 2), layer z (nz1, 2), reference eta (nz2, 2)
+        self._xq = self.x[:-1, None] + _GP[None, :] * self.hx
+        zq = self.z1[:-1, None] + _GP[None, :] * self.hz1
+        self._etaq = self.eta[:-1, None] + _GP[None, :] * self.heta
+        # sigma1 at the Gauss points of each layer element; axes [jz, ix, qz, qx]
+        # flatten to q = 2*qz + qx, matching the shape-table ordering
+        self._sigma1_q = p.sigma1_at(self._xq[None, :, None, :], zq[:, None, :, None]).reshape(-1, 4)
 
         self._layer = self._assemble_layer()
-        self._gap_conn = self._gap_connectivity()
 
     # -- assembly ---------------------------------------------------------
 
@@ -189,57 +189,40 @@ class FieldSolver:
         c11 = idx[1:, 1:].ravel()
         return np.stack([c00, c10, c01, c11], axis=1)
 
+    def _gap_corners(self, arr: np.ndarray, gm: GapMap) -> np.ndarray:
+        """Corner entries of a gap-grid array for the kept gap elements, basis-ordered."""
+        return arr.ravel()[self._conn2[:, gm.elems].reshape(-1, 4)]
+
     def _assemble_layer(self):
         """COO triplets of the (state-independent) layer block."""
-        p, hx, hz = self.p, self.hx, self.hz1
-        nodes = self._elem_nodes(self.idx1)  # (ne, 4)
+        hx, hz = self.hx, self.hz1
+        nodes = self._conn1  # (ne, 4)
         kxx = np.einsum("aq,bq,q->ab", _NXI, _NXI, _W) / hx**2 * (hx * hz)
         kzz = np.einsum("aq,bq,q->ab", _NZE, _NZE, _W) / hz**2 * (hx * hz)
         if self.p.sigma1_is_constant:
             elem = float(self.p.sigma1) * (kxx + kzz)  # type: ignore[arg-type]
             vals = np.broadcast_to(elem, (nodes.shape[0], 4, 4)).ravel()
         else:
-            # sigma1 at the Gauss points of each element; axes [jz, ix, qz, qx]
-            # flatten to q = 2*qz + qx, matching the shape-table ordering
-            xq = self.x[:-1, None] + _GP[None, :] * hx           # (nx, 2)
-            zq = self.z1[:-1, None] + _GP[None, :] * hz          # (nz1, 2)
-            sq = p.sigma1_at(xq[None, :, None, :], zq[:, None, :, None]).reshape(-1, 4)
             kxx_q = np.einsum("aq,bq->abq", _NXI, _NXI) / hx**2
             kzz_q = np.einsum("aq,bq->abq", _NZE, _NZE) / hz**2
-            vals = np.einsum("eq,abq,q->eab", sq, kxx_q + kzz_q, _W) * (hx * hz)
+            vals = np.einsum("eq,abq,q->eab", self._sigma1_q, kxx_q + kzz_q, _W) * (hx * hz)
             vals = vals.ravel()
         rows = np.repeat(nodes, 4, axis=1).ravel()
         cols = np.tile(nodes, (1, 4)).ravel()
         return rows, cols, vals
 
-    def _gap_connectivity(self):
-        return self._elem_nodes(self.idx2)
-
     def _assemble_gap(self, gm: GapMap):
         """COO triplets of the gap block for one state (contact elements dropped)."""
         p, hx, he = self.p, self.hx, self.heta
-        nx, nz2 = self.grid.n_x, self.grid.n_z2
+        nz2 = self.grid.n_z2
         if np.any(~gm.contact & (gm.gamma < gm.eps_contact / 2.0)):
             raise DegenerateGap("non-contact column with gap below eps_contact/2")
-        keep_col = ~gm.contact
-        keep_elem_x = keep_col[:-1] & keep_col[1:]               # (nx,)
-        if not np.any(keep_elem_x):
+        if not len(gm.elems):
             return np.array([], int), np.array([], int), np.array([], float)
 
-        xq = self.x[:-1, None] + _GP[None, :] * hx               # (nx, 2)
-        # interpolate the gap honestly from the plate state at Gauss abscissae
-        gq = self._u(xq.ravel()) + p.H
-        dgq = self._du(xq.ravel())
-        gq = gq.reshape(nx, 2)
-        dgq = dgq.reshape(nx, 2)
-        etaq = self.eta[:-1, None] + _GP[None, :] * he           # (nz2, 2)
-
-        ix = np.nonzero(keep_elem_x)[0]
-        g_e = gq[ix]                                             # (nkx, 2)
-        dg_e = dgq[ix]
         # coefficient arrays per element (jz, kx) and Gauss point q = 2*qz + qx
-        g4 = np.broadcast_to(g_e[None, :, None, :], (nz2, len(ix), 2, 2)).reshape(-1, 4)
-        b4 = (-etaq[:, None, :, None] * dg_e[None, :, None, :]).reshape(-1, 4)
+        g4 = np.broadcast_to(gm.gamma_q[None, :, None, :], (nz2, len(gm.elems), 2, 2)).reshape(-1, 4)
+        b4 = (-self._etaq[:, None, :, None] * gm.dgamma_q[None, :, None, :]).reshape(-1, 4)
         c11 = g4
         c12 = b4
         c22 = (1.0 + b4**2) / g4
@@ -254,23 +237,28 @@ class FieldSolver:
             + np.einsum("eq,abq,q->eab", c22, kee, _W)
         ) * jac
 
-        nodes = self._gap_conn.reshape(nz2, nx, 4)[:, ix, :].reshape(-1, 4)
+        nodes = self._gap_corners(self.idx2, gm)
         rows = np.repeat(nodes, 4, axis=1).ravel()
         cols = np.tile(nodes, (1, 4)).ravel()
         return rows, cols, vals.ravel()
 
+    def _operator(self, gm: GapMap) -> sp.csr_matrix:
+        """The assembled transmission operator on all nodes for one gap geometry."""
+        r1, c1, v1 = self._layer
+        r2, c2, v2 = self._assemble_gap(gm)
+        return sp.coo_matrix(
+            (np.concatenate([v1, v2]), (np.concatenate([r1, r2]), np.concatenate([c1, c2]))),
+            shape=(self.n_nodes, self.n_nodes),
+        ).tocsr()
+
     # -- per-state geometry -------------------------------------------------
 
-    def _bind(self, u: PlateState):
-        self._u = lambda x: u(x)
-        self._du = lambda x: u(x, deriv=1)
-
     def gap_map(self, u: PlateState) -> GapMap:
+        """Contact mask and gap coefficients of one state, computed once for all uses."""
         p = self.p
         if u.values.min() < -p.H - 1e-12 * max(1.0, p.H):
             raise ValueError("plate state is infeasible: u < -H at a node")
-        plate_h = self._default_plate_h if self._default_plate_h is not None else u.grid.h
-        eps = contact_threshold(plate_h, p.H)
+        eps = contact_threshold(u.grid.h, p.H)
         gamma = u(self.x) + p.H
         dgamma = u(self.x, deriv=1)
         if not np.all(np.isfinite(gamma)):
@@ -289,7 +277,13 @@ class FieldSolver:
             if not np.any(orphan):
                 break
             contact = contact | orphan
-        return GapMap(self.x.copy(), gamma, dgamma, contact, eps)
+        elems = np.nonzero(elem_kept)[0]
+        # interpolate the gap honestly from the plate state at Gauss abscissae
+        xq = self._xq[elems].ravel()
+        return GapMap(
+            self.x.copy(), gamma, dgamma, contact, eps, elems,
+            (u(xq) + p.H).reshape(-1, 2), u(xq, deriv=1).reshape(-1, 2),
+        )
 
     def _dirichlet(self, u: PlateState, gm: GapMap):
         """Boolean mask and values of all pinned nodes."""
@@ -297,7 +291,7 @@ class FieldSolver:
         nx = self.grid.n_x
         mask = np.zeros(self.n_nodes, bool)
         vals = np.zeros(self.n_nodes)
-        ux = self._u(self.x)
+        ux = u(self.x)
 
         def pin(ids, v):
             mask[ids] = True
@@ -325,63 +319,36 @@ class FieldSolver:
 
     def solve(self, u: PlateState) -> PotentialField:
         """Solve the transmission problem for one plate state."""
-        p = self.p
         if self.grid.n_x % u.grid.n_elems != 0:
             raise ValueError("field n_x must be a multiple of the plate element count")
-        self._bind(u)
         gm = self.gap_map(u)
-
-        r1, c1, v1 = self._layer
-        r2, c2, v2 = self._assemble_gap(gm)
-        A = sp.coo_matrix(
-            (np.concatenate([v1, v2]), (np.concatenate([r1, r2]), np.concatenate([c1, c2]))),
-            shape=(self.n_nodes, self.n_nodes),
-        ).tocsr()
+        A = self._operator(gm)
 
         mask, gvals = self._dirichlet(u, gm)
-        self._dir_cache = (mask, gvals)
         free = ~mask
         full = gvals.copy()
 
         rhs = -(A[:, mask] @ gvals[mask])[free]
         Aff = A[free][:, free].tocsc()
-        nfree = int(free.sum())
         rhs_norm = float(np.linalg.norm(rhs))
         if rhs_norm == 0.0:
-            x = np.zeros(nfree)
-            res, iters = 0.0, 0
-        elif self.method == "direct":
+            x = np.zeros(int(free.sum()))
+            res = 0.0
+        else:
             x = spla.splu(
                 Aff, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
             ).solve(rhs)
             res = float(np.linalg.norm(Aff @ x - rhs))
-            iters = 1
             if not np.isfinite(res) or res > max(10.0 * self.tol_lin, 1e-8) * rhs_norm:
                 raise LinearSolveFailed(f"direct solve residual {res:.3e} vs rhs {rhs_norm:.3e}")
-        else:
-            it_count = [0]
-
-            def _cb(_):
-                it_count[0] += 1
-
-            M = sp.diags(1.0 / Aff.diagonal())
-            x, info = spla.cg(
-                Aff, rhs, rtol=self.tol_lin, atol=0.0,
-                maxiter=self.maxiter_factor * nfree, M=M, callback=_cb,
-            )
-            res = float(np.linalg.norm(Aff @ x - rhs))
-            iters = it_count[0]
-            if info != 0 or res > 10.0 * self.tol_lin * rhs_norm:
-                raise LinearSolveFailed(
-                    f"cg stopped (info={info}) at residual {res:.3e} after {iters} iterations"
-                )
         full[free] = x
 
         psi1 = full[self.idx1]
         psi2 = full[self.idx2]
-        return self._package(gm, psi1, psi2, res, iters)
+        b = gvals[mask]
+        return self._package(gm, psi1, psi2, res, float(b.min()), float(b.max()))
 
-    def _package(self, gm, psi1, psi2, res, iters) -> PotentialField:
+    def _package(self, gm, psi1, psi2, res, binf, bsup) -> PotentialField:
         p = self.p
         hz1, he = self.hz1, self.heta
         d1 = (3.0 * psi1[-1] - 4.0 * psi1[-2] + psi1[-3]) / (2.0 * hz1)
@@ -391,7 +358,6 @@ class FieldSolver:
             dbot2 = (-3.0 * psi2[0] + 4.0 * psi2[1] - psi2[2]) / (2.0 * he * gm.gamma)
         dtop[gm.contact] = np.nan
         dbot2[gm.contact] = np.nan
-        binf, bsup = self._boundary_range()
         return PotentialField(
             x=self.x.copy(), z1=self.z1.copy(), eta=self.eta.copy(),
             psi1=psi1, psi2=psi2, gap=gm,
@@ -400,57 +366,35 @@ class FieldSolver:
             top_trace_dz=dtop,
             bottom_trace_dz1=d1,
             boundary_inf=binf, boundary_sup=bsup,
-            residual=res, iterations=iters, method=self.method,
+            residual=res,
         )
-
-    def _boundary_range(self) -> tuple[float, float]:
-        mask, vals = self._dir_cache
-        b = vals[mask]
-        return float(b.min()), float(b.max())
 
     # -- energies --------------------------------------------------------------
 
     def form_value(self, psi1: np.ndarray, psi2: np.ndarray, gm: GapMap) -> float:
         """Dirichlet form  int sigma |grad psi|^2  with the assembly quadrature."""
         p, hx, hz, he = self.p, self.hx, self.hz1, self.heta
-        nx, nz2 = self.grid.n_x, self.grid.n_z2
-
-        def elem_vals(arr):
-            return np.stack(
-                [arr[:-1, :-1].ravel(), arr[:-1, 1:].ravel(), arr[1:, :-1].ravel(), arr[1:, 1:].ravel()],
-                axis=1,
-            )
+        nz2 = self.grid.n_z2
 
         # layer
-        e1 = elem_vals(psi1)                                   # (ne, 4)
+        e1 = psi1.ravel()[self._conn1]                         # (ne, 4)
         gx = e1 @ _NXI / hx                                    # (ne, 4 gauss)
         gz = e1 @ _NZE / hz
-        xq = self.x[:-1, None] + _GP[None, :] * hx
-        zq = self.z1[:-1, None] + _GP[None, :] * hz
-        s = p.sigma1_at(xq[None, :, None, :], zq[:, None, :, None]).reshape(-1, 4)
-        total = float(np.sum(s * (gx**2 + gz**2) * _W) * hx * hz)
+        total = float(np.sum(self._sigma1_q * (gx**2 + gz**2) * _W) * hx * hz)
 
         # gap
-        keep_col = ~gm.contact
-        keep = keep_col[:-1] & keep_col[1:]
-        if np.any(keep):
-            ix = np.nonzero(keep)[0]
-            xq = (self.x[:-1, None] + _GP[None, :] * hx)[ix]
-            gq = (self._u(xq.ravel()) + p.H).reshape(-1, 2)
-            dgq = self._du(xq.ravel()).reshape(-1, 2)
-            etaq = self.eta[:-1, None] + _GP[None, :] * he
-            g4 = np.broadcast_to(gq[None, :, None, :], (nz2, len(ix), 2, 2)).reshape(-1, 4)
-            b4 = (-etaq[:, None, :, None] * dgq[None, :, None, :]).reshape(-1, 4)
-            e2 = elem_vals(psi2).reshape(nz2, nx, 4)[:, ix, :].reshape(-1, 4)
+        if len(gm.elems):
+            g4 = np.broadcast_to(gm.gamma_q[None, :, None, :], (nz2, len(gm.elems), 2, 2)).reshape(-1, 4)
+            b4 = (-self._etaq[:, None, :, None] * gm.dgamma_q[None, :, None, :]).reshape(-1, 4)
+            e2 = self._gap_corners(psi2, gm)
             gx = e2 @ _NXI / hx
             ge = e2 @ _NZE / he
             dens = g4 * gx**2 + 2.0 * b4 * gx * ge + (1.0 + b4**2) / g4 * ge**2
             total += float(p.sigma2 * np.sum(dens * _W) * hx * he)
         return total
 
-    def electrostatic_energy(self, pf: PotentialField, u: PlateState) -> float:
+    def electrostatic_energy(self, pf: PotentialField) -> float:
         """E_e = -(1/2) int sigma |grad psi|^2 over the actual device domain."""
-        self._bind(u)
         return -0.5 * self.form_value(pf.psi1, pf.psi2, pf.gap)
 
     def shape_gradient_load(self, pf: PotentialField, u: PlateState) -> np.ndarray:
@@ -473,27 +417,15 @@ class FieldSolver:
         nz2 = self.grid.n_z2
         grad = np.zeros(u.grid.n_dofs)
         gm = pf.gap
-        keep_col = ~gm.contact
-        keep = keep_col[:-1] & keep_col[1:]
-        if not np.any(keep):
+        ix = gm.elems
+        if not len(ix):
             return grad
-        ix = np.nonzero(keep)[0]
-        xq = (self.x[:-1, None] + _GP[None, :] * hx)[ix]          # (nkx, 2)
-        self._bind(u)
-        gq = (self._u(xq.ravel()) + p.H).reshape(-1, 2)
-        dgq = self._du(xq.ravel()).reshape(-1, 2)
-        etaq = self.eta[:-1, None] + _GP[None, :] * he            # (nz2, 2)
-        g4 = np.broadcast_to(gq[None, :, None, :], (nz2, len(ix), 2, 2))
-        eta4 = np.broadcast_to(etaq[:, None, :, None], (nz2, len(ix), 2, 2))
-        b4 = -eta4 * dgq[None, :, None, :]
+        xq = self._xq[ix]                                         # (nkx, 2)
+        g4 = np.broadcast_to(gm.gamma_q[None, :, None, :], (nz2, len(ix), 2, 2))
+        eta4 = np.broadcast_to(self._etaq[:, None, :, None], (nz2, len(ix), 2, 2))
+        b4 = -eta4 * gm.dgamma_q[None, :, None, :]
 
-        def elem_vals(arr):
-            return np.stack(
-                [arr[:-1, :-1].ravel(), arr[:-1, 1:].ravel(), arr[1:, :-1].ravel(), arr[1:, 1:].ravel()],
-                axis=1,
-            )
-
-        e2 = elem_vals(pf.psi2).reshape(nz2, len(gm.x) - 1, 4)[:, ix, :].reshape(-1, 4)
+        e2 = self._gap_corners(pf.psi2, gm)
         px = (e2 @ _NXI / hx).reshape(nz2, len(ix), 2, 2)         # [jz, kx, qz, qx]
         pe = (e2 @ _NZE / he).reshape(nz2, len(ix), 2, 2)
         dI_dg = px**2 - (1.0 + b4**2) / g4**2 * pe**2
@@ -517,42 +449,14 @@ class FieldSolver:
     def boundary_data_energy(self, u: PlateState) -> float:
         """Dirichlet form of the interpolated boundary data h_u (an upper bound witness)."""
         p, f = self.p, self.family
-        self._bind(u)
         gm = self.gap_map(u)
-        ux = self._u(self.x)
+        ux = u(self.x)
         h1 = f.h1(self.x[None, :], self.z1[:, None], ux[None, :])
         z2 = -p.H + self.eta[:, None] * gm.gamma[None, :]
         h2 = f.h2(self.x[None, :], z2, ux[None, :])
         if np.any(gm.contact):
             h2[:, gm.contact] = f.h1(self.x[gm.contact], -p.H, -p.H)[None, :]
         return 0.5 * self.form_value(h1, h2, gm)
-
-
-def solve_potential(
-    u: PlateState,
-    family: BoundaryDataFamily,
-    p: PhysicalParams,
-    grid: FieldGrid = FieldGrid(),
-    **kw,
-) -> PotentialField:
-    """One-shot transmission solve (builds a solver; prefer FieldSolver for loops)."""
-    return FieldSolver(p, family, grid, **kw).solve(u)
-
-
-def electrostatic_energy(
-    pf: PotentialField, u: PlateState, p: PhysicalParams, family: BoundaryDataFamily,
-    grid: FieldGrid = None, **kw,
-) -> float:
-    if grid is None:
-        grid = FieldGrid(len(pf.x) - 1, len(pf.z1) - 1, len(pf.eta) - 1)
-    return FieldSolver(p, family, grid, **kw).electrostatic_energy(pf, u)
-
-
-def boundary_data_energy(
-    u: PlateState, p: PhysicalParams, family: BoundaryDataFamily,
-    grid: FieldGrid = FieldGrid(), **kw,
-) -> float:
-    return FieldSolver(p, family, grid, **kw).boundary_data_energy(u)
 
 
 def check_max_principle(pf: PotentialField, tol: float = None, tol_lin: float = 1e-10) -> dict:

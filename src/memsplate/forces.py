@@ -165,7 +165,7 @@ def directional_derivative_check(
     if not strict_gap(u):
         raise InfeasiblePerturbation("base state has contact columns")
     pf = solver.solve(u)
-    Ee0 = solver.electrostatic_energy(pf, u)
+    Ee0 = solver.electrostatic_energy(pf)
     gprof = compute_force(u, pf, family, p)
     inner = float(force_load_vector(gprof, u, M) @ w.dofs)
 
@@ -175,7 +175,7 @@ def directional_derivative_check(
         if up.values.min() <= -p.H or not strict_gap(up):
             raise InfeasiblePerturbation(f"perturbed state at eps={eps} loses its strict gap")
         pfe = solver.solve(up)
-        Ee = solver.electrostatic_energy(pfe, up)
+        Ee = solver.electrostatic_energy(pfe)
         q = (Ee - Ee0) / eps
         quotients.append(q)
         mismatches.append(abs(q - inner))

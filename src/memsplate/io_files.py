@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, IncompatibleState
-from .fields import FieldGrid, GapMap, PotentialField
+from .fields import FieldGrid, PotentialField
 from .forces import ForceProfile
 from .hermite import PlateGrid, PlateState
 from .minimize import SolverSettings
@@ -24,7 +24,7 @@ from .params import PhysicalParams
 
 __all__ = [
     "write_plate_csv", "read_plate_csv",
-    "write_potential_csv", "read_potential_csv",
+    "write_potential_csv",
     "write_force_csv", "write_contact_csv",
     "write_json", "read_json", "write_trajectory", "sha256_of",
     "ConfigBundle", "parse_config", "default_config_text",
@@ -94,44 +94,6 @@ def write_contact_csv(path, pf: PotentialField):
             w.writerow([repr(float(x)), int(c), repr(float(g)), repr(float(dg)), _hex(g), _hex(dg)])
 
 
-def read_potential_csv(psi_path, contact_path, meta_path) -> PotentialField:
-    meta = read_json(meta_path)
-    n_x, n_z1, n_z2 = meta["n_x"], meta["n_z1"], meta["n_z2"]
-    psi1 = np.empty((n_z1 + 1, n_x + 1))
-    psi2 = np.empty((n_z2 + 1, n_x + 1))
-    r1 = r2 = 0
-    with open(psi_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            v = _fromhex(row["psi_hex"]) if row.get("psi_hex") else float(row["psi"])
-            if int(row["region"]) == 1:
-                psi1[r1 // (n_x + 1), r1 % (n_x + 1)] = v
-                r1 += 1
-            else:
-                psi2[r2 // (n_x + 1), r2 % (n_x + 1)] = v
-                r2 += 1
-    xs, contact, gamma, dgamma = [], [], [], []
-    with open(contact_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            xs.append(float(row["x"]))
-            contact.append(bool(int(row["is_contact"])))
-            gamma.append(_fromhex(row["gamma_hex"]) if row.get("gamma_hex") else float(row["gamma"]))
-            dgamma.append(_fromhex(row["dgamma_hex"]) if row.get("dgamma_hex") else float(row["dgamma"]))
-    gm = GapMap(
-        np.array(xs), np.array(gamma), np.array(dgamma),
-        np.array(contact, dtype=bool), meta["eps_contact"],
-    )
-    return PotentialField(
-        x=np.array(xs), z1=np.array(meta["z1"]), eta=np.array(meta["eta"]),
-        psi1=psi1, psi2=psi2, gap=gm,
-        interface_flux=np.array(meta["interface_flux"]),
-        interface_flux_gap=np.array(meta["interface_flux_gap"]),
-        top_trace_dz=np.array(meta["top_trace_dz"]),
-        bottom_trace_dz1=np.array(meta["bottom_trace_dz1"]),
-        boundary_inf=meta["boundary_inf"], boundary_sup=meta["boundary_sup"],
-        residual=meta["residual"], iterations=meta["iterations"], method=meta["method"],
-    )
-
-
 def potential_meta(pf: PotentialField) -> dict:
     def lst(a):
         return [None if not np.isfinite(v) else float(v) for v in a]
@@ -145,7 +107,7 @@ def potential_meta(pf: PotentialField) -> dict:
         "top_trace_dz": lst(pf.top_trace_dz),
         "bottom_trace_dz1": lst(pf.bottom_trace_dz1),
         "boundary_inf": pf.boundary_inf, "boundary_sup": pf.boundary_sup,
-        "residual": pf.residual, "iterations": pf.iterations, "method": pf.method,
+        "residual": pf.residual,
     }
 
 
@@ -206,8 +168,7 @@ _PHYSICS_KEYS = ("beta", "tau", "l", "h", "d", "sigma1", "sigma2", "v")
 _BOUNDARY_KEYS = ("family",)
 _GRID_KEYS = ("n_elems", "n_x", "n_z1", "n_z2")
 _SOLVER_KEYS = (
-    "tol_lin", "lin_method", "max_outer", "step0", "shrink", "grow", "step_floor",
-    "armijo_c1", "tol_vi_factor", "lag_psi", "fixed_point_damping", "maxiter_factor",
+    "tol_lin", "max_outer", "step0", "shrink", "grow", "step_floor", "armijo_c1", "tol_vi_factor",
 )
 
 
@@ -296,11 +257,7 @@ def parse_config(path) -> ConfigBundle:
             armijo_c1=float(s.get("armijo_c1", 1e-4)),
             max_outer=int(s.get("max_outer", 200)),
             tol_vi_factor=float(s.get("tol_vi_factor", 1e-8)),
-            lag_psi=str(s.get("lag_psi", "false")).strip().lower() in ("1", "true", "yes"),
-            fixed_point_damping=float(s.get("fixed_point_damping", 1.0)),
-            lin_method=str(s.get("lin_method", "direct")).strip(),
             tol_lin=float(s.get("tol_lin", 1e-10)),
-            maxiter_factor=int(s.get("maxiter_factor", 50)),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid solver settings: {exc}") from exc
@@ -310,13 +267,11 @@ def parse_config(path) -> ConfigBundle:
         "boundary": {"family": family_tag},
         "grid": {"n_elems": n_elems, "n_x": n_x, "n_z1": n_z1, "n_z2": n_z2},
         "solver": {
-            "tol_lin": settings.tol_lin, "lin_method": settings.lin_method,
+            "tol_lin": settings.tol_lin,
             "max_outer": settings.max_outer, "step0": settings.step0,
             "shrink": settings.shrink, "grow": settings.grow,
             "step_floor": settings.step_floor, "armijo_c1": settings.armijo_c1,
-            "tol_vi_factor": settings.tol_vi_factor, "lag_psi": settings.lag_psi,
-            "fixed_point_damping": settings.fixed_point_damping,
-            "maxiter_factor": settings.maxiter_factor,
+            "tol_vi_factor": settings.tol_vi_factor,
         },
     }
     return ConfigBundle(params, family_tag, n_elems, fgrid, settings, snapshot)
@@ -344,6 +299,5 @@ n_z2 = 64
 
 [solver]
 tol_lin = 1e-10
-lin_method = direct
 max_outer = 200
 """

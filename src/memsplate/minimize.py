@@ -21,8 +21,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import MaxIterations, StalledDescent
-from .fields import FieldGrid, FieldSolver
-from .forces import compute_force, force_load_vector
+from .fields import FieldGrid, FieldSolver, PotentialField
+from .forces import ForceProfile, compute_force, force_load_vector
 from .hermite import (
     PlateGrid,
     PlateState,
@@ -67,11 +67,7 @@ class SolverSettings:
     armijo_c1: float = 1e-4
     max_outer: int = 200
     tol_vi_factor: float = 1e-8
-    lag_psi: bool = False
-    fixed_point_damping: float = 1.0
-    lin_method: str = "direct"
     tol_lin: float = 1e-10
-    maxiter_factor: int = 50
 
     def __post_init__(self):
         if not self.step0 > 0:
@@ -80,13 +76,11 @@ class SolverSettings:
             raise ValueError("need 0 < shrink < 1 < grow")
         if not self.tol_vi_factor > 0:
             raise ValueError("tol_vi_factor must be positive")
-        if not (0.0 < self.fixed_point_damping <= 1.0):
-            raise ValueError("fixed_point_damping must lie in (0, 1]")
 
 
 @dataclass
 class EnergyReport:
-    """All energies of a state plus solver certificates."""
+    """All energies of a state plus solver certificates, its potential and its force."""
 
     E_m: float
     E_e: float
@@ -101,6 +95,8 @@ class EnergyReport:
     iterations: int = 0
     converged: bool = False
     trajectory: list = field(default_factory=list)
+    potential: PotentialField = None
+    force: ForceProfile = None
 
     def as_dict(self) -> dict:
         return {
@@ -168,11 +164,7 @@ def make_context(
     # energy-space norms of the single-DOF direction shapes (beta/tau-free)
     Bu, Su = assemble_bending_and_stretch(plate, 1.0, 1.0)
     norms = np.sqrt(Bu.diagonal() + Su.diagonal() + M.diagonal())
-    solver = FieldSolver(
-        p, family, field_grid, plate_h=plate.h,
-        tol_lin=settings.tol_lin, method=settings.lin_method,
-        maxiter_factor=settings.maxiter_factor,
-    )
+    solver = FieldSolver(p, family, field_grid, tol_lin=settings.tol_lin)
     return SolveContext(
         p=p, family=family, constants=constants, plate=plate, field_grid=field_grid,
         settings=settings, B=B, S=S, M=M, field=solver,
@@ -209,16 +201,6 @@ def penalty_value_grad(u: PlateState, k: float, A: float) -> tuple[float, np.nda
 
 
 # -- residuals -----------------------------------------------------------------
-
-
-def _gradient(ctx: SolveContext, u: PlateState, gvalues: np.ndarray, k: float):
-    """Weak-form residual vector: stiffness + penalty + force paired by the mass."""
-    quad = (ctx.B + ctx.S) @ u.dofs
-    penv, peng, active = penalty_value_grad(u, k, ctx.constants.A)
-    ghat = np.zeros(ctx.plate.n_dofs)
-    ghat[0::2] = gvalues
-    load = ctx.M @ ghat
-    return quad + peng + load, penv, active
 
 
 def _residuals(ctx: SolveContext, u: PlateState, r: np.ndarray) -> tuple[float, float]:
@@ -258,7 +240,7 @@ def tol_vi_for(ctx: SolveContext, u: PlateState) -> float:
 def _evaluate(ctx: SolveContext, u: PlateState, k: float):
     """Fresh field solve + all energies + force profile for one state."""
     pf = ctx.field.solve(u)
-    Ee = ctx.field.electrostatic_energy(pf, u)
+    Ee = ctx.field.electrostatic_energy(pf)
     gprof = compute_force(u, pf, ctx.family, ctx.p)
     Em = mechanical_energy(u, ctx.p.beta, ctx.p.tau)
     penv, peng, active = penalty_value_grad(u, k, ctx.constants.A)
@@ -285,16 +267,33 @@ def _descent_residual(ctx: SolveContext, u: PlateState, ev: dict) -> np.ndarray:
     return (ctx.B + ctx.S) @ u.dofs + ev["pen_grad"] + load
 
 
-def energy_total(u: PlateState, k: float, ctx: SolveContext) -> EnergyReport:
-    """Solve the field and report every energy plus the stationarity residual."""
-    ev = _evaluate(ctx, u, k)
-    r, _, _ = _gradient(ctx, u, ev["gprof"].values, k)
+def _certify(ctx: SolveContext, u: PlateState, ev: dict):
+    """Certificate residual, its (vi, fp) measures and the tolerance of one evaluated state.
+
+    The residual is the weak form: stiffness + penalty + force paired by the mass.
+    """
+    ghat = np.zeros(ctx.plate.n_dofs)
+    ghat[0::2] = ev["gprof"].values
+    r = (ctx.B + ctx.S) @ u.dofs + ev["pen_grad"] + ctx.M @ ghat
     vi, fp = _residuals(ctx, u, r)
+    return r, vi, fp, tol_vi_for(ctx, u)
+
+
+def _report(ev: dict, k: float, vi: float, fp: float, tol: float, **run) -> EnergyReport:
+    """The report of one evaluated state; ``run`` holds the descent's bookkeeping."""
     return EnergyReport(
         E_m=ev["E_m"], E_e=ev["E_e"], E=ev["E"], E_k=ev["E_k"], k=k,
         reg_active=ev["reg_active"], vi_residual=vi, fp_residual=fp,
-        tol_vi=tol_vi_for(ctx, u), n_contact_nodes=int(np.sum(ev["gprof"].contact)),
+        tol_vi=tol, n_contact_nodes=int(np.sum(ev["gprof"].contact)),
+        potential=ev["pf"], force=ev["gprof"], **run,
     )
+
+
+def energy_total(u: PlateState, k: float, ctx: SolveContext) -> EnergyReport:
+    """Solve the field and report every energy plus the stationarity residual."""
+    ev = _evaluate(ctx, u, k)
+    _, vi, fp, tol = _certify(ctx, u, ev)
+    return _report(ev, k, vi, fp, tol)
 
 
 def _clip_values(dofs: np.ndarray, H: float) -> np.ndarray:
@@ -323,28 +322,19 @@ def minimize_Ek(
     u = PlateState(ctx.plate, dofs)
 
     ev = _evaluate(ctx, u, k)
-    g_used = ev["gprof"].values
     trajectory = []
     step = st.step0
     trace_ok = True  # sticky: drop the trace candidate once it fully fails a search
 
     for it in range(1, st.max_outer + 1):
-        r_cert, _, _ = _gradient(ctx, u, g_used, k)
-        vi, fp = _residuals(ctx, u, r_cert)
-        tol = tol_vi_for(ctx, u)
+        r_cert, vi, fp, tol = _certify(ctx, u, ev)
         trajectory.append({
             "iter": it - 1, "E_m": ev["E_m"], "E_e": ev["E_e"], "E_k": ev["E_k"],
             "step": step, "vi_residual": vi,
             "n_contact_nodes": int(np.sum(ev["gprof"].contact)),
         })
         if vi <= tol:
-            report = EnergyReport(
-                E_m=ev["E_m"], E_e=ev["E_e"], E=ev["E"], E_k=ev["E_k"], k=k,
-                reg_active=ev["reg_active"], vi_residual=vi, fp_residual=fp,
-                tol_vi=tol, n_contact_nodes=int(np.sum(ev["gprof"].contact)),
-                iterations=it - 1, converged=True, trajectory=trajectory,
-            )
-            return u, report
+            return u, _report(ev, k, vi, fp, tol, iterations=it - 1, converged=True, trajectory=trajectory)
 
         # Two candidate gradients: the certificate residual (its zero is the
         # certified solution, so prefer it away from contact) and the exact
@@ -371,8 +361,6 @@ def minimize_Ek(
             mask[2 * np.nonzero(pinned)[0]] = False
             d = np.zeros_like(u.dofs)
             d[mask] = -ctx.reduced_solve(mask, r)
-            if st.lag_psi:
-                d *= st.fixed_point_damping
             s = step
             n_trials = 0
             while s >= st.step_floor and n_trials < st.max_ls_trials:
@@ -393,32 +381,15 @@ def minimize_Ek(
             if cand_name == "trace":
                 trace_ok = False
         if accepted is None:
-            report = EnergyReport(
-                E_m=ev["E_m"], E_e=ev["E_e"], E=ev["E"], E_k=ev["E_k"], k=k,
-                reg_active=ev["reg_active"], vi_residual=vi, fp_residual=fp,
-                tol_vi=tol, n_contact_nodes=int(np.sum(ev["gprof"].contact)),
-                iterations=it - 1, converged=False, trajectory=trajectory,
-            )
             raise StalledDescent(
                 f"backtracking floor reached at residual {vi:.3e} (tol {tol:.3e})",
-                state=u, report=report,
+                state=u, report=_report(ev, k, vi, fp, tol, iterations=it - 1, trajectory=trajectory),
             )
         u, ev = accepted
-        if st.lag_psi:
-            g_new = ev["gprof"].values
-            g_used = (1.0 - st.fixed_point_damping) * g_used + st.fixed_point_damping * g_new
-        else:
-            g_used = ev["gprof"].values
         step = min(s * st.grow, 64.0 * st.step0)
 
-    r, _, _ = _gradient(ctx, u, g_used, k)
-    vi, fp = _residuals(ctx, u, r)
-    report = EnergyReport(
-        E_m=ev["E_m"], E_e=ev["E_e"], E=ev["E"], E_k=ev["E_k"], k=k,
-        reg_active=ev["reg_active"], vi_residual=vi, fp_residual=fp,
-        tol_vi=tol_vi_for(ctx, u), n_contact_nodes=int(np.sum(ev["gprof"].contact)),
-        iterations=st.max_outer, converged=False, trajectory=trajectory,
-    )
+    _, vi, fp, tol = _certify(ctx, u, ev)
+    report = _report(ev, k, vi, fp, tol, iterations=st.max_outer, trajectory=trajectory)
     raise MaxIterations(
         f"outer cap {st.max_outer} reached at residual {vi:.3e}", state=u, report=report
     )
@@ -453,20 +424,17 @@ def coercivity_check(u: PlateState, k: float, ctx: SolveContext) -> dict:
 # -- continuation ------------------------------------------------------------------
 
 
-def continuation_pipeline(
-    ctx: SolveContext, u0: PlateState = None
-) -> tuple[PlateState, EnergyReport, dict]:
+def continuation_pipeline(ctx: SolveContext) -> tuple[PlateState, EnergyReport, dict]:
     """Minimize at the certified regularization level and check it was inert.
 
-    Picks k = max(kappa0, H), minimizes, verifies the sup bound on a fine
+    Picks k = max(kappa0, H), minimizes from the rest state, verifies the sup bound on a fine
     element sampling and that the penalty never activated; on success the
     result is a minimizer candidate for the plain energy, and the returned
     certificate holds every number a reviewer needs to re-check the claim.
     """
     c = ctx.constants
     k = max(c.kappa0, ctx.p.H)
-    u0 = u0 if u0 is not None else ctx.zero_state()
-    u, report = minimize_Ek(u0, k, ctx)
+    u, report = minimize_Ek(ctx.zero_state(), k, ctx)
 
     _, dense = u.sample_dense(16)
     sup_u = float(np.max(np.abs(dense)))
@@ -477,7 +445,8 @@ def continuation_pipeline(
         c = derive_constants(ctx.p, ctx.family, w_max=2.0 * max(sup_u, ctx.p.H))
     sub_nodal = float(max(0.0, -(dense.min() + ctx.p.H)))
     bound_ok = sup_u <= c.kappa0 * (1.0 + 1e-12)
-    rest = energy_total(ctx.zero_state(), k, ctx)
+    # the descent starts at the rest state, so its first record holds E(0)
+    E_rest = report.trajectory[0]["E_m"] + report.trajectory[0]["E_e"]
     ck = coercivity_constant(ctx, k)
     certificate = {
         "k": k,
@@ -495,8 +464,8 @@ def continuation_pipeline(
         "E_e": report.E_e,
         "E": report.E,
         "E_k": report.E_k,
-        "E_rest": rest.E,
-        "energy_below_rest": bool(report.E <= rest.E),
+        "E_rest": E_rest,
+        "energy_below_rest": bool(report.E <= E_rest),
         "c_kappa0": ck,
         "lower_bound_pass": bool(report.E >= -ck),
         "n_contact_nodes": report.n_contact_nodes,
@@ -512,11 +481,11 @@ def continuation_pipeline(
     return u, report, certificate
 
 
-def continuation_certified(ctx: SolveContext, u0: PlateState = None):
+def continuation_certified(ctx: SolveContext):
     """continuation_pipeline that raises BoundViolated when the sup bound fails."""
     from .errors import BoundViolated
 
-    u, report, cert = continuation_pipeline(ctx, u0)
+    u, report, cert = continuation_pipeline(ctx)
     if not cert["bound_pass"]:
         raise BoundViolated(
             f"sup |u| = {cert['sup_abs_u']:.6g} exceeds kappa0 = {cert['kappa0']:.6g}; "

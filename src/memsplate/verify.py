@@ -9,7 +9,6 @@ diagnostics.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +20,9 @@ from .bounds import (
     solve_comparison_bvp,
 )
 from .fields import check_max_principle
-from .forces import compute_force
+from .forces import ForceProfile
 from .hermite import PlateState, project_obstacle
-from .minimize import SolveContext, _evaluate, energy_total
+from .minimize import SolveContext, energy_total
 
 __all__ = [
     "CoincidenceReport",
@@ -168,18 +167,18 @@ def _inactive_components(u: PlateState, H: float, tol_c: float) -> list[tuple[in
     return comps
 
 
-def comparison_sandwich(u: PlateState, ctx: SolveContext, k: float, refine: int = 8) -> dict:
+def comparison_sandwich(
+    u: PlateState, ctx: SolveContext, k: float, gprof: ForceProfile, refine: int = 8
+) -> dict:
     """Downward comparison on every component of the non-contact set.
 
     On each component, the clamped solve of
     beta z'''' - tau z'' = -G0 - g(u) - A (u - k)_+  must be nonpositive
     (the right-hand side is, by the force floor); tolerance absorbs the
-    interpolation of the nodal force.
+    interpolation of the nodal force ``gprof`` of u.
     """
     p, c = ctx.p, ctx.constants
     tol_c = max(1e-9, u.grid.h**2) * p.H
-    pf = ctx.field.solve(u)
-    gprof = compute_force(u, pf, ctx.family, ctx.p)
     nodes = u.grid.nodes
     comps = _inactive_components(u, p.H, tol_c)
     results = []
@@ -273,11 +272,9 @@ def run_suite(u: PlateState, ctx: SolveContext, k: float = None) -> dict:
     # the mandatory feasibility check, so they run on its projection
     u_field = u if feas_violation == 0.0 else project_obstacle(u, p.H)
 
-    # solve everything shared up front (the field solver is not reentrant)
-    ev = _evaluate(ctx, u_field, k)
+    # the one field solve of the state; every check reads its results
     report_nrg = energy_total(u_field, k, ctx)
-    mp = check_max_principle(ev["pf"], tol_lin=ctx.settings.tol_lin)
-    gprof = ev["gprof"]
+    gprof = report_nrg.force
 
     def chk_feasibility():
         return {
@@ -332,11 +329,12 @@ def run_suite(u: PlateState, ctx: SolveContext, k: float = None) -> dict:
         "coincidence_interval": (True, chk_coincidence),
         "comparison_bounds": (True, lambda: comparison_bound_battery(
             p.beta, (0.0, p.tau if p.tau > 0 else 1.0), (0.0, 1.0, 10.0), p.L, p.H, 12)),
-        "comparison_sandwich": (False, lambda: comparison_sandwich(u_field, ctx, k)),
+        "comparison_sandwich": (False, lambda: comparison_sandwich(u_field, ctx, k, gprof)),
         "energy_identity": (True, chk_energy_identity),
         "feasibility": (True, chk_feasibility),
         "force_floor": (True, chk_force_floor),
-        "max_principle": (True, lambda: dict(mp)),
+        "max_principle": (True, lambda: check_max_principle(
+            report_nrg.potential, tol_lin=ctx.settings.tol_lin)),
         "q_profile": (False, lambda: {
             **q_profile_identities(p.H),
             "pass": bool(q_profile_identities(p.H)["d2Q_within_bound"]),
@@ -344,9 +342,7 @@ def run_suite(u: PlateState, ctx: SolveContext, k: float = None) -> dict:
         "stationarity": (False, chk_vi),
     }
 
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        futures = {name: pool.submit(fn) for name, (_, fn) in checks.items()}
-        results = {name: fut.result() for name, fut in futures.items()}
+    results = {name: fn() for name, (_, fn) in checks.items()}
 
     out = []
     all_mandatory = True

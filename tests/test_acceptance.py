@@ -87,7 +87,7 @@ def state_matrix(ctx, params):
     for V in (0.5, 1.0, 2.0):
         pV = PhysicalParams(V=V)
         fam = build_canonical_boundary_data(pV)
-        solver = FieldSolver(pV, fam, FIELD, plate_h=grid.h)
+        solver = FieldSolver(pV, fam, FIELD)
         for u in states[:11]:
             pf = solver.solve(u)
             g = compute_force(u, pf, fam, pV)
@@ -119,7 +119,7 @@ def sweep_result(ctx, params):
             warm, rep = exc.state, exc.report
             status = type(exc).__name__
         fam = build_canonical_boundary_data(pV)
-        solver = FieldSolver(pV, fam, FIELD, plate_h=ctxV.plate.h)
+        solver = FieldSolver(pV, fam, FIELD)
         pf = solver.solve(warm)
         g = compute_force(warm, pf, fam, pV)
         rows.append({
@@ -144,7 +144,7 @@ def test_criterion_1_flat_plate_oracles(ctx, params):
         err_psi = max(np.abs(pf.psi1 - exact1).max(), np.abs(pf.psi2 - exact2).max())
 
         den = p.sigma2 * p.d + p.sigma1 * (c + p.H)
-        Ee = ctx.field.electrostatic_energy(pf, u)
+        Ee = ctx.field.electrostatic_energy(pf)
         Ee_exact = -p.L * p.V**2 * p.sigma1 * p.sigma2 / den
         err_ee = abs(Ee - Ee_exact) / abs(Ee_exact)
 

@@ -16,12 +16,9 @@ from memsplate.cli import main
 from memsplate.errors import ConfigError
 from memsplate.io_files import (
     parse_config,
-    potential_meta,
     read_plate_csv,
-    read_potential_csv,
     sha256_of,
     write_contact_csv,
-    write_json,
     write_plate_csv,
     write_potential_csv,
 )
@@ -72,12 +69,16 @@ def test_potential_roundtrip_bitwise(tmp_path):
     pf = solver.solve(u)
     write_potential_csv(tmp_path / "psi.csv", pf, p.H)
     write_contact_csv(tmp_path / "contact.csv", pf)
-    write_json(tmp_path / "meta.json", potential_meta(pf))
-    back = read_potential_csv(tmp_path / "psi.csv", tmp_path / "contact.csv", tmp_path / "meta.json")
-    assert np.array_equal(back.psi1, pf.psi1)
-    assert np.array_equal(back.psi2, pf.psi2)
-    assert np.array_equal(back.gap.gamma, pf.gap.gamma)
-    assert np.array_equal(back.contact_mask, pf.contact_mask)
+    with open(tmp_path / "psi.csv", newline="") as fh:
+        psi = [(r["region"], float.fromhex(r["psi_hex"])) for r in csv.DictReader(fh)]
+    with open(tmp_path / "contact.csv", newline="") as fh:
+        cols = list(csv.DictReader(fh))
+    psi1 = np.array([v for region, v in psi if region == "1"]).reshape(pf.psi1.shape)
+    psi2 = np.array([v for region, v in psi if region == "2"]).reshape(pf.psi2.shape)
+    assert np.array_equal(psi1, pf.psi1)
+    assert np.array_equal(psi2, pf.psi2)
+    assert np.array_equal([float.fromhex(r["gamma_hex"]) for r in cols], pf.gap.gamma)
+    assert np.array_equal([r["is_contact"] == "1" for r in cols], pf.contact_mask)
 
 
 def test_config_parsing_and_errors(tmp_path):
@@ -176,13 +177,56 @@ def test_cli_sweep_monotone_loading(tmp_path):
     sout = tmp_path / "sweep2"
     rc = main(["sweep", "--config", cfg, "--vmin", "0", "--vmax", "3", "--steps", "4",
                "--out", str(sout)])
-    assert rc == 0
+    # the V=3 point stalls; one failed point fails the sweep
+    assert rc == 3
     with open(sout / "sweep.csv") as fh:
         rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["converged"] * 3 + ["StalledDescent"]
+    assert float(rows[-1]["vi_residual"]) > 0.0 and int(rows[-1]["iterations"]) > 0
+    point = json.loads((sout / "V_3" / "point.json").read_text())
+    assert point["status"] == "StalledDescent" and point["iterations"] == int(rows[-1]["iterations"])
     min_us = [float(r["min_u"]) for r in rows]
     assert all(min_us[i + 1] <= min_us[i] + 1e-12 for i in range(len(min_us) - 1))
     # per-point artifacts exist
     assert (sout / "V_0" / "u.csv").exists() or (sout / "V_0.0" / "u.csv").exists()
+
+
+def test_cli_solve_solves_only_inside_the_descent(tmp_path, monkeypatch):
+    import memsplate.minimize
+
+    solves = {"inside": 0, "outside": 0}
+    depth = [0]
+    solve, minimize_Ek = FieldSolver.solve, memsplate.minimize.minimize_Ek
+
+    def counted_solve(self, u):
+        solves["inside" if depth[0] else "outside"] += 1
+        return solve(self, u)
+
+    def tracked_minimize(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return minimize_Ek(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(FieldSolver, "solve", counted_solve)
+    monkeypatch.setattr(memsplate.minimize, "minimize_Ek", tracked_minimize)
+    assert main(["solve", "--config", write_config(tmp_path), "--out", str(tmp_path / "o")]) == 0
+    assert solves["inside"] > 0 and solves["outside"] == 0
+
+
+def test_cli_sweep_builds_one_context_per_point_and_one_more(tmp_path, monkeypatch):
+    import memsplate.cli
+
+    calls = []
+    make_context = memsplate.cli.make_context
+    monkeypatch.setattr(
+        memsplate.cli, "make_context", lambda *a, **k: calls.append(a) or make_context(*a, **k)
+    )
+    rc = main(["sweep", "--config", write_config(tmp_path, V=0.0), "--vmin", "0", "--vmax", "0.5",
+               "--steps", "6", "--out", str(tmp_path / "s")])
+    assert rc == 0
+    assert len(calls) <= 7
 
 
 def test_manifest_determinism(tmp_path):

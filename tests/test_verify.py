@@ -3,6 +3,7 @@ import pytest
 
 from memsplate import (
     FieldGrid,
+    FieldSolver,
     PhysicalParams,
     PlateState,
     SolverSettings,
@@ -10,6 +11,7 @@ from memsplate import (
     check_coincidence_interval,
     comparison_sandwich,
     continuation_pipeline,
+    energy_total,
     make_context,
     run_suite,
 )
@@ -72,7 +74,8 @@ def test_coincidence_flags_nonconstant_potential(ctx):
 
 
 def test_comparison_sandwich_on_solved_state(ctx, solved):
-    rep = comparison_sandwich(solved, ctx, k=max(ctx.constants.kappa0, 1.0))
+    k = max(ctx.constants.kappa0, 1.0)
+    rep = comparison_sandwich(solved, ctx, k, energy_total(solved, k, ctx).force)
     assert rep["n_components"] == 1
     assert rep["pass"]
     comp = rep["components"][0]
@@ -92,6 +95,14 @@ def test_run_suite_all_mandatory_pass(ctx, solved):
     assert by_name["energy_identity"]["pass"]
     assert by_name["stationarity"]["pass"]
     assert by_name["boggio_probe"]["fraction_nonpositive"] >= 0.95
+
+
+def test_run_suite_solves_the_state_once(ctx, solved, monkeypatch):
+    calls = []
+    solve = FieldSolver.solve
+    monkeypatch.setattr(FieldSolver, "solve", lambda self, u: calls.append(u) or solve(self, u))
+    run_suite(solved, ctx)
+    assert len(calls) == 1
 
 
 def test_run_suite_detects_infeasible_state(ctx):
