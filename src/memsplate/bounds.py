@@ -16,7 +16,14 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import InvalidInterval
-from .hermite import PlateGrid, PlateState, assemble_bending_and_stretch, gauss_rule, shape_functions
+from .hermite import (
+    PlateGrid,
+    PlateState,
+    assemble_bending_and_stretch,
+    clamped_dof_indices,
+    gauss_rule,
+    shape_functions,
+)
 
 __all__ = [
     "ComparisonBVP",
@@ -151,7 +158,7 @@ def solve_clamped_bvp(
 ) -> PlateState:
     """Hermite solve of  beta z'''' - tau z'' = load  with value data bc and zero slopes.
 
-    ``load`` is a callable of x (vectorized).  Returns the discrete solution
+    ``load`` is a callable of x (vectorized, any shape).  Returns the discrete solution
     as a plate state on its own grid.
     """
     if not b > a:
@@ -162,16 +169,14 @@ def solve_clamped_bvp(
 
     xi, w = gauss_rule(6)
     N0 = shape_functions(xi, grid.h, 0)
-    F = np.zeros(grid.n_dofs)
-    for e in range(grid.n_elems):
-        x0 = grid.x_left + e * grid.h
-        fx = np.asarray(load(x0 + xi * grid.h), dtype=float)
-        F[grid.element_dofs(e)] += grid.h * (N0 * (w * fx)).sum(axis=1)
+    xq = (grid.x_left + np.arange(grid.n_elems) * grid.h)[:, None] + xi * grid.h
+    fx = np.asarray(load(xq), dtype=float)                   # (n_elems, n_gauss)
+    F = grid.scatter(grid.h * (N0 * (w * fx)[:, None, :]).sum(axis=2))
 
     full = np.zeros(grid.n_dofs)
     full[0] = bc[0]
     full[-2] = bc[1]
-    fixed = np.array([0, 1, grid.n_dofs - 2, grid.n_dofs - 1])
+    fixed = clamped_dof_indices(grid)
     free = np.setdiff1d(np.arange(grid.n_dofs), fixed)
     rhs = F[free] - A[np.ix_(free, fixed)] @ full[fixed]
     full[free] = spla.spsolve(A[np.ix_(free, free)], rhs)

@@ -440,10 +440,9 @@ class FieldSolver:
         e_p, xi = u.grid.locate(xq.ravel())
         N0 = shape_functions(xi, u.grid.h, 0)
         N1 = shape_functions(xi, u.grid.h, 1)
-        wflat_g = Wg.ravel()
-        wflat_b = Wb.ravel()
-        for a in range(4):
-            np.add.at(grad, 2 * e_p + a, N0[a] * wflat_g + N1[a] * wflat_b)
+        # conn[e_p].T adds shape by shape over all Gauss points; np.add.at keeps that
+        # order, and with it the last bits of grad
+        np.add.at(grad, u.grid.conn[e_p].T, N0 * Wg.ravel() + N1 * Wb.ravel())
         return grad
 
     def boundary_data_energy(self, u: PlateState) -> float:

@@ -9,7 +9,7 @@ vanish identically and the force is the nonnegative square term alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,17 +29,12 @@ __all__ = [
 
 @dataclass
 class ForceProfile:
-    """Nodal force density with per-node branch bookkeeping."""
+    """Nodal force density with the branch of every node."""
 
     x: np.ndarray
     values: np.ndarray          # g at plate nodes
     frak_g: np.ndarray          # square term alone
     contact: np.ndarray         # branch tag per node (True = contact)
-    switch_diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def branch(self) -> np.ndarray:
-        return np.where(self.contact, "contact", "non-contact")
 
 
 def compute_force(
@@ -87,35 +82,7 @@ def compute_force(
         frak[contact] = 0.5 * s2 * ((s1 / s2) * tr1 - hz - hw) ** 2
         g[contact] = frak[contact] - 0.5 * s2 * (hx**2 + (hz + hw) ** 2)
 
-    diagnostics = _switch_diagnostics(u, pf, family, p, cols, contact)
-    return ForceProfile(xs, g, frak, contact, diagnostics)
-
-
-def _switch_diagnostics(u, pf, family, p, cols, contact) -> dict:
-    """Both-branch values at nodes within two elements of a branch switch."""
-    switches = np.nonzero(contact[:-1] != contact[1:])[0]
-    if len(switches) == 0:
-        return {}
-    near = np.zeros(len(cols), bool)
-    for s in switches:
-        near[max(0, s - 1): s + 3] = True
-    out = {"nodes": np.nonzero(near)[0].tolist(), "contact_value": [], "noncontact_value": []}
-    for i in np.nonzero(near)[0]:
-        c = cols[i]
-        x = pf.x[c]
-        s1 = float(p.sigma1_at(x, -p.H))
-        hzw = float(family.dz_h2(x, -p.H, -p.H) + family.dw_h2(x, -p.H, -p.H))
-        out["contact_value"].append(
-            0.5 * p.sigma2 * ((s1 / p.sigma2) * pf.bottom_trace_dz1[c] - hzw) ** 2
-        )
-        w = u.values[i]
-        hzw2 = float(family.dz_h2(x, w, w) + family.dw_h2(x, w, w))
-        tr = pf.top_trace_dz[c]
-        out["noncontact_value"].append(
-            0.5 * p.sigma2 * (1.0 + u.slopes[i] ** 2) * (tr - hzw2) ** 2
-            if np.isfinite(tr) else float("nan")
-        )
-    return out
+    return ForceProfile(xs, g, frak, contact)
 
 
 def force_analytic_flat(c: float, family: BoundaryDataFamily, p: PhysicalParams) -> float:
@@ -137,9 +104,7 @@ def force_load_vector(gprof: ForceProfile, u: PlateState, M=None) -> np.ndarray:
     """
     if M is None:
         M = assemble_mass(u.grid)
-    ghat = np.zeros(u.grid.n_dofs)
-    ghat[0::2] = gprof.values
-    return M @ ghat
+    return M @ PlateState.from_nodal(u.grid, gprof.values, 0.0).dofs
 
 
 def directional_derivative_check(

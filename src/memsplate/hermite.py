@@ -113,8 +113,16 @@ class PlateGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(self.x_left, self.x_right, self.n_nodes)
 
-    def element_dofs(self, e: int) -> np.ndarray:
-        return np.array([2 * e, 2 * e + 1, 2 * e + 2, 2 * e + 3])
+    @property
+    def conn(self) -> np.ndarray:
+        """(n_elems, 4) DOF indices ``[v_e, s_e, v_e+1, s_e+1]`` of every element."""
+        return 2 * np.arange(self.n_elems)[:, None] + np.arange(4)
+
+    def scatter(self, elem_vals: np.ndarray) -> np.ndarray:
+        """Sum per-element 4-vectors (n_elems, 4) into a global DOF vector, in element order."""
+        out = np.zeros(self.n_dofs)
+        np.add.at(out, self.conn, elem_vals)
+        return out
 
     def locate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Element index and local coordinate for physical points x."""
@@ -182,23 +190,22 @@ class PlateState:
             out += N[j] * self.dofs[2 * e + j]
         return out
 
-    def min_value(self) -> float:
-        return float(self.values.min())
-
     def is_feasible(self, H: float, tol: float = 0.0) -> bool:
         return bool(np.all(self.values >= -H - tol))
 
+    def local(self, xi: np.ndarray, deriv: int = 0) -> np.ndarray:
+        """u (or a derivative) at local points xi of every element, shape (n_elems, len(xi))."""
+        N = shape_functions(xi, self.grid.h, deriv)
+        loc = self.dofs[self.grid.conn]
+        # batched N.T @ loc rounds like the per-element product; loc @ N and einsum do not
+        return (N.T[None] @ loc[:, :, None])[..., 0]
+
     def sample_dense(self, pts_per_elem: int = 8, deriv: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate on a fine per-element sampling (includes element endpoints)."""
+        g = self.grid
         xi = np.linspace(0.0, 1.0, pts_per_elem)
-        xs, us = [], []
-        for e in range(self.grid.n_elems):
-            x0 = self.grid.x_left + e * self.grid.h
-            N = shape_functions(xi, self.grid.h, deriv)
-            loc = self.dofs[self.grid.element_dofs(e)]
-            xs.append(x0 + xi * self.grid.h)
-            us.append(N.T @ loc)
-        return np.concatenate(xs), np.concatenate(us)
+        xs = (g.x_left + np.arange(g.n_elems) * g.h)[:, None] + xi * g.h
+        return xs.ravel(), self.local(xi, deriv).ravel()
 
 
 def _element_matrix(h: float, deriv: int, n_gauss: int = 4) -> np.ndarray:
@@ -209,14 +216,11 @@ def _element_matrix(h: float, deriv: int, n_gauss: int = 4) -> np.ndarray:
 
 
 def _assemble(grid: PlateGrid, elem: np.ndarray) -> sp.csr_matrix:
-    n_e = grid.n_elems
-    rows = np.repeat(np.arange(4), 4)
-    cols = np.tile(np.arange(4), 4)
-    data = np.tile(elem.ravel(), n_e)
-    offsets = 2 * np.arange(n_e)
-    all_rows = (rows[None, :] + offsets[:, None]).ravel()
-    all_cols = (cols[None, :] + offsets[:, None]).ravel()
-    A = sp.coo_matrix((data, (all_rows, all_cols)), shape=(grid.n_dofs, grid.n_dofs))
+    conn = grid.conn
+    rows = np.repeat(conn, 4, axis=1).ravel()
+    cols = np.tile(conn, 4).ravel()
+    data = np.tile(elem.ravel(), grid.n_elems)
+    A = sp.coo_matrix((data, (rows, cols)), shape=(grid.n_dofs, grid.n_dofs))
     return A.tocsr()
 
 
@@ -242,16 +246,10 @@ def assemble_mass(grid: PlateGrid) -> sp.csr_matrix:
 def mechanical_energy(u: PlateState, beta: float, tau: float) -> float:
     """(beta/2)||u''||^2 + (tau/2)||u'||^2 by exact elementwise quadrature."""
     xi, w = gauss_rule(4)
-    h = u.grid.h
-    N1 = shape_functions(xi, h, 1)
-    N2 = shape_functions(xi, h, 2)
-    total = 0.0
-    for e in range(u.grid.n_elems):
-        loc = u.dofs[u.grid.element_dofs(e)]
-        du = N1.T @ loc
-        d2u = N2.T @ loc
-        total += h * np.sum(w * (0.5 * beta * d2u**2 + 0.5 * tau * du**2))
-    return float(total)
+    du, d2u = u.local(xi, 1), u.local(xi, 2)
+    per_elem = u.grid.h * np.sum(w * (0.5 * beta * d2u**2 + 0.5 * tau * du**2), axis=1)
+    # accumulate keeps the element-by-element order of the sum; np.sum would pair terms
+    return float(np.add.accumulate(per_elem)[-1])
 
 
 def project_obstacle(u: PlateState, H: float) -> PlateState:

@@ -167,9 +167,7 @@ def sha256_of(path) -> str:
 _PHYSICS_KEYS = ("beta", "tau", "l", "h", "d", "sigma1", "sigma2", "v")
 _BOUNDARY_KEYS = ("family",)
 _GRID_KEYS = ("n_elems", "n_x", "n_z1", "n_z2")
-_SOLVER_KEYS = (
-    "tol_lin", "max_outer", "step0", "shrink", "grow", "step_floor", "armijo_c1", "tol_vi_factor",
-)
+_SOLVER_KEYS = ("tol_lin", "max_outer", "tol_vi_factor")
 
 
 @dataclass
@@ -250,11 +248,6 @@ def parse_config(path) -> ConfigBundle:
     s = cp["solver"] if "solver" in cp else {}
     try:
         settings = SolverSettings(
-            step0=float(s.get("step0", 1.0)),
-            shrink=float(s.get("shrink", 0.5)),
-            grow=float(s.get("grow", 1.5)),
-            step_floor=float(s.get("step_floor", 1e-14)),
-            armijo_c1=float(s.get("armijo_c1", 1e-4)),
             max_outer=int(s.get("max_outer", 200)),
             tol_vi_factor=float(s.get("tol_vi_factor", 1e-8)),
             tol_lin=float(s.get("tol_lin", 1e-10)),
@@ -267,10 +260,7 @@ def parse_config(path) -> ConfigBundle:
         "boundary": {"family": family_tag},
         "grid": {"n_elems": n_elems, "n_x": n_x, "n_z1": n_z1, "n_z2": n_z2},
         "solver": {
-            "tol_lin": settings.tol_lin,
-            "max_outer": settings.max_outer, "step0": settings.step0,
-            "shrink": settings.shrink, "grow": settings.grow,
-            "step_floor": settings.step_floor, "armijo_c1": settings.armijo_c1,
+            "tol_lin": settings.tol_lin, "max_outer": settings.max_outer,
             "tol_vi_factor": settings.tol_vi_factor,
         },
     }

@@ -55,25 +55,25 @@ __all__ = [
 ]
 
 
+# Line search: first step, backtracking factor, growth after an accepted step,
+# smallest step, trials per candidate and the Armijo constant.
+_STEP0 = 1.0
+_SHRINK = 0.5
+_GROW = 1.5
+_STEP_FLOOR = 1e-14
+_MAX_LS_TRIALS = 30
+_ARMIJO_C1 = 1e-4
+
+
 @dataclass(frozen=True)
 class SolverSettings:
     """Knobs of the descent and the inner linear solves."""
 
-    step0: float = 1.0
-    shrink: float = 0.5
-    grow: float = 1.5
-    step_floor: float = 1e-14
-    max_ls_trials: int = 30
-    armijo_c1: float = 1e-4
     max_outer: int = 200
     tol_vi_factor: float = 1e-8
     tol_lin: float = 1e-10
 
     def __post_init__(self):
-        if not self.step0 > 0:
-            raise ValueError("step0 must be positive")
-        if not (0.0 < self.shrink < 1.0 < self.grow):
-            raise ValueError("need 0 < shrink < 1 < grow")
         if not self.tol_vi_factor > 0:
             raise ValueError("tol_vi_factor must be positive")
 
@@ -181,23 +181,16 @@ def penalty_value_grad(u: PlateState, k: float, A: float) -> tuple[float, np.nda
     A fixed Gauss rule makes value and gradient an exact pair, which the
     backtracking test relies on.
     """
-    xi, wq = gauss_rule(6)
     grid = u.grid
-    N0 = shape_functions(xi, grid.h, 0)
-    val = 0.0
-    grad = np.zeros(grid.n_dofs)
-    active = False
     if A == 0.0:
-        return 0.0, grad, False
-    for e in range(grid.n_elems):
-        dofs = grid.element_dofs(e)
-        ue = N0.T @ u.dofs[dofs]
-        excess = np.maximum(ue - k, 0.0)
-        if np.any(excess > 0.0):
-            active = True
-            val += grid.h * np.sum(wq * excess**2)
-            grad[dofs] += A * grid.h * (N0 * (wq * excess)).sum(axis=1)
-    return 0.5 * A * val, grad, active
+        return 0.0, np.zeros(grid.n_dofs), False
+    xi, wq = gauss_rule(6)
+    N0 = shape_functions(xi, grid.h, 0)
+    excess = np.maximum(u.local(xi, 0) - k, 0.0)         # (n_elems, n_gauss)
+    # elements without excess add exact zeros; val sums in element order
+    val = np.add.accumulate(grid.h * np.sum(wq * excess**2, axis=1))[-1]
+    grad = grid.scatter(A * grid.h * (N0 * (wq * excess)[:, None, :]).sum(axis=2))
+    return float(0.5 * A * val), grad, bool(np.any(excess > 0.0))
 
 
 # -- residuals -----------------------------------------------------------------
@@ -253,17 +246,12 @@ def _evaluate(ctx: SolveContext, u: PlateState, k: float):
 
 
 def _descent_residual(ctx: SolveContext, u: PlateState, ev: dict) -> np.ndarray:
-    """Gradient used by the line search.
+    """Exact gradient of the discrete energy, for constant-potential data.
 
-    For constant-potential data this is the exact gradient of the discrete
-    energy (shape differentiation of the mapped assembly), so backtracking
-    never fights the trace-formula discretization error; otherwise the
-    trace-force pairing is the best available direction.
+    Shape differentiation of the mapped assembly, so backtracking never
+    fights the trace-formula discretization error.
     """
-    if ctx.family.constant_potential:
-        load = ctx.field.shape_gradient_load(ev["pf"], u)
-    else:
-        load = force_load_vector(ev["gprof"], u, ctx.M)
+    load = ctx.field.shape_gradient_load(ev["pf"], u)
     return (ctx.B + ctx.S) @ u.dofs + ev["pen_grad"] + load
 
 
@@ -272,9 +260,7 @@ def _certify(ctx: SolveContext, u: PlateState, ev: dict):
 
     The residual is the weak form: stiffness + penalty + force paired by the mass.
     """
-    ghat = np.zeros(ctx.plate.n_dofs)
-    ghat[0::2] = ev["gprof"].values
-    r = (ctx.B + ctx.S) @ u.dofs + ev["pen_grad"] + ctx.M @ ghat
+    r = (ctx.B + ctx.S) @ u.dofs + ev["pen_grad"] + force_load_vector(ev["gprof"], u, ctx.M)
     vi, fp = _residuals(ctx, u, r)
     return r, vi, fp, tol_vi_for(ctx, u)
 
@@ -323,7 +309,7 @@ def minimize_Ek(
 
     ev = _evaluate(ctx, u, k)
     trajectory = []
-    step = st.step0
+    step = _STEP0
     trace_ok = True  # sticky: drop the trace candidate once it fully fails a search
 
     for it in range(1, st.max_outer + 1):
@@ -363,7 +349,7 @@ def minimize_Ek(
             d[mask] = -ctx.reduced_solve(mask, r)
             s = step
             n_trials = 0
-            while s >= st.step_floor and n_trials < st.max_ls_trials:
+            while s >= _STEP_FLOOR and n_trials < _MAX_LS_TRIALS:
                 trial = PlateState(ctx.plate, _clip_values(u.dofs + s * d, p.H))
                 if np.array_equal(trial.dofs, u.dofs):
                     break  # step vanished under clipping/rounding
@@ -371,11 +357,11 @@ def minimize_Ek(
                 ev_t = _evaluate(ctx, trial, k)
                 delta = ev_t["E_k"] - ev["E_k"]
                 pred = float(r @ (trial.dofs - u.dofs))
-                armijo = delta <= st.armijo_c1 * pred if pred < 0.0 else delta < 0.0
+                armijo = delta <= _ARMIJO_C1 * pred if pred < 0.0 else delta < 0.0
                 if delta < 0.0 and armijo:
                     accepted = (trial, ev_t)
                     break
-                s *= st.shrink
+                s *= _SHRINK
             if accepted is not None:
                 break
             if cand_name == "trace":
@@ -386,7 +372,7 @@ def minimize_Ek(
                 state=u, report=_report(ev, k, vi, fp, tol, iterations=it - 1, trajectory=trajectory),
             )
         u, ev = accepted
-        step = min(s * st.grow, 64.0 * st.step0)
+        step = min(s * _GROW, 64.0 * _STEP0)
 
     _, vi, fp, tol = _certify(ctx, u, ev)
     report = _report(ev, k, vi, fp, tol, iterations=st.max_outer, trajectory=trajectory)

@@ -315,6 +315,10 @@ def run_suite(u: PlateState, ctx: SolveContext, k: float = None) -> dict:
         out["pass"] = bool(rep.is_interval or rep.assumption_violated)
         return out
 
+    def chk_q_profile():
+        q = q_profile_identities(p.H)
+        return {**q, "pass": bool(q["d2Q_within_bound"])}
+
     def chk_vi():
         return {
             "vi_residual": report_nrg.vi_residual,
@@ -335,10 +339,7 @@ def run_suite(u: PlateState, ctx: SolveContext, k: float = None) -> dict:
         "force_floor": (True, chk_force_floor),
         "max_principle": (True, lambda: check_max_principle(
             report_nrg.potential, tol_lin=ctx.settings.tol_lin)),
-        "q_profile": (False, lambda: {
-            **q_profile_identities(p.H),
-            "pass": bool(q_profile_identities(p.H)["d2Q_within_bound"]),
-        }),
+        "q_profile": (False, chk_q_profile),
         "stationarity": (False, chk_vi),
     }
 

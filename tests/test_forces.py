@@ -210,15 +210,3 @@ def test_missing_trace_on_misaligned_grids(setup):
     u_bad = PlateState.zero(PlateGrid(24, p.L))  # 32 % 24 != 0
     with pytest.raises(MissingTrace):
         compute_force(u_bad, pf, fam, p)
-
-
-def test_switch_diagnostics_present(setup):
-    p, fam, grid, solver = setup
-    # hat profile touching the layer in the middle
-    vals = np.maximum(-p.H, -2.0 + 2.2 * np.abs(grid.nodes))
-    slopes = np.where(vals <= -p.H, 0.0, 2.2 * np.sign(grid.nodes))
-    u = PlateState.from_nodal(grid, vals, slopes)
-    pf = solver.solve(u)
-    g = compute_force(u, pf, fam, p)
-    assert np.any(g.contact) and np.any(~g.contact)
-    assert len(g.switch_diagnostics.get("nodes", [])) >= 2

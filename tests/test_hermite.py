@@ -12,8 +12,10 @@ from memsplate import (
     mechanical_energy,
     project_obstacle,
 )
+from memsplate.bounds import solve_clamped_bvp
 from memsplate.errors import SingularAssembly
-from memsplate.hermite import clamped_dof_indices
+from memsplate.hermite import clamped_dof_indices, gauss_rule, shape_functions
+from memsplate.minimize import penalty_value_grad
 
 
 def hermite_cubic_on_element(x0, h, v0, s0, v1, s1):
@@ -35,7 +37,7 @@ def energy_by_polynomial_oracle(state, beta, tau):
     g = state.grid
     for e in range(g.n_elems):
         x0 = g.x_left + e * g.h
-        v0, s0, v1, s1 = state.dofs[g.element_dofs(e)]
+        v0, s0, v1, s1 = state.dofs[g.conn[e]]
         p = hermite_cubic_on_element(x0, g.h, v0, s0, v1, s1)
         d1, d2 = p.deriv(1), p.deriv(2)
         total += 0.5 * beta * (d2**2).integ()(g.h) + 0.5 * tau * (d1**2).integ()(g.h)
@@ -178,3 +180,87 @@ def test_flat_state_has_zero_mechanical_energy():
     g = PlateGrid(16, 1.0)
     u = PlateState.constant(g, 3.7)
     assert mechanical_energy(u, 2.0, 5.0) == pytest.approx(0.0, abs=1e-14)
+
+
+# -- the element kernel against plain per-element loops ---------------------------------
+
+
+def _loop_sample_dense(u, pts_per_elem, deriv):
+    g = u.grid
+    xi = np.linspace(0.0, 1.0, pts_per_elem)
+    xs, us = [], []
+    for e in range(g.n_elems):
+        N = shape_functions(xi, g.h, deriv)
+        xs.append(g.x_left + e * g.h + xi * g.h)
+        us.append(N.T @ u.dofs[g.conn[e]])
+    return np.concatenate(xs), np.concatenate(us)
+
+
+def _loop_mechanical_energy(u, beta, tau):
+    xi, w = gauss_rule(4)
+    g = u.grid
+    N1, N2 = shape_functions(xi, g.h, 1), shape_functions(xi, g.h, 2)
+    total = 0.0
+    for e in range(g.n_elems):
+        loc = u.dofs[g.conn[e]]
+        du, d2u = N1.T @ loc, N2.T @ loc
+        total += g.h * np.sum(w * (0.5 * beta * d2u**2 + 0.5 * tau * du**2))
+    return float(total)
+
+
+def _loop_penalty(u, k, A):
+    xi, wq = gauss_rule(6)
+    g = u.grid
+    N0 = shape_functions(xi, g.h, 0)
+    val, grad, active = 0.0, np.zeros(g.n_dofs), False
+    for e in range(g.n_elems):
+        dofs = g.conn[e]
+        excess = np.maximum(N0.T @ u.dofs[dofs] - k, 0.0)
+        if np.any(excess > 0.0):
+            active = True
+            val += g.h * np.sum(wq * excess**2)
+            grad[dofs] += A * g.h * (N0 * (wq * excess)).sum(axis=1)
+    return 0.5 * A * val, grad, active
+
+
+def _loop_clamped_bvp(grid, beta, tau, load, bc):
+    import scipy.sparse.linalg as spla
+
+    B, S = assemble_bending_and_stretch(grid, beta, tau)
+    K = (B + S).tocsc()
+    xi, w = gauss_rule(6)
+    N0 = shape_functions(xi, grid.h, 0)
+    F = np.zeros(grid.n_dofs)
+    for e in range(grid.n_elems):
+        fx = load(grid.x_left + e * grid.h + xi * grid.h)
+        F[grid.conn[e]] += grid.h * (N0 * (w * fx)).sum(axis=1)
+    full = np.zeros(grid.n_dofs)
+    full[0], full[-2] = bc
+    fixed = clamped_dof_indices(grid)
+    free = np.setdiff1d(np.arange(grid.n_dofs), fixed)
+    full[free] = spla.spsolve(K[np.ix_(free, free)], F[free] - K[np.ix_(free, fixed)] @ full[fixed])
+    return full
+
+
+@pytest.mark.parametrize("grid", [
+    PlateGrid(1, 1.0), PlateGrid(3, 0.7), PlateGrid(128, 1.0), PlateGrid.from_interval(17, -0.3, 0.55),
+], ids=["1", "3", "128", "interval"])
+def test_element_kernel_matches_per_element_loops(grid, rng):
+    # each element owns the four consecutive DOFs starting at its left node's value
+    windows = np.lib.stride_tricks.sliding_window_view(np.arange(grid.n_dofs), 4)[::2]
+    assert np.array_equal(grid.conn, windows)
+
+    u = PlateState(grid, rng.uniform(-1.0, 1.0, grid.n_dofs))
+    for deriv in (0, 1, 2):
+        for got, want in zip(u.sample_dense(7, deriv), _loop_sample_dense(u, 7, deriv)):
+            assert np.array_equal(got, want)
+    assert mechanical_energy(u, 1.3, 0.4) == _loop_mechanical_energy(u, 1.3, 0.4)
+
+    val, grad, active = penalty_value_grad(u, 0.2, 3.0)
+    ref_val, ref_grad, ref_active = _loop_penalty(u, 0.2, 3.0)
+    assert active and ref_active and val > 0.0
+    assert val == ref_val and np.array_equal(grad, ref_grad)
+
+    load = lambda x: np.cos(3.0 * x) + x**2
+    z = solve_clamped_bvp(grid.x_left, grid.x_right, 1.1, 0.6, load, (0.1, -0.2), grid.n_elems)
+    assert np.array_equal(z.dofs, _loop_clamped_bvp(grid, 1.1, 0.6, load, (0.1, -0.2)))

@@ -36,12 +36,9 @@ def solved32(ctx32):
 
 
 def test_settings_validation():
-    with pytest.raises(ValueError):
-        SolverSettings(step0=0.0)
-    with pytest.raises(ValueError):
-        SolverSettings(shrink=1.2)
-    with pytest.raises(ValueError):
-        SolverSettings(grow=0.9)
+    for bad in (0.0, -1e-8):
+        with pytest.raises(ValueError):
+            SolverSettings(tol_vi_factor=bad)
 
 
 def test_zero_voltage_minimizes_to_rest(rng):
