@@ -34,6 +34,7 @@ from .hermite import PlateState, shape_functions
 from .params import BoundaryDataFamily, PhysicalParams
 
 __all__ = [
+    "Factor",
     "FieldGrid",
     "GapMap",
     "PotentialField",
@@ -69,6 +70,30 @@ def _q1_tables():
 
 _N, _NXI, _NZE, _W = _q1_tables()
 
+# (z, x) offset of each Q1 basis corner within its element, in basis order
+_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
+# element matrices are symmetric and kept packed: their 10 entries a <= b,
+# and where entry (a, b) is found among them
+_UPPER = np.triu_indices(4)
+_PACKED = np.zeros((4, 4), int)
+_PACKED[_UPPER] = np.arange(10)
+_PACKED = np.maximum(_PACKED, _PACKED.T)
+
+# CG iterations on a held factor before a solve factors afresh instead
+_PCG_MAXIT = 12
+
+
+def _add_elements(stencil: np.ndarray, ke: np.ndarray) -> None:
+    """Add packed element matrices (n_rows, n_cols, 10) into a nine-point stencil in place.
+
+    ``stencil[r, c, 1 + dz, 1 + dx]`` couples node (r, c) to node (r + dz, c + dx);
+    element (j, i) has its lower-left corner at node (j, i).
+    """
+    nr, nc = ke.shape[:2]
+    for a, (az, ax) in enumerate(_CORNERS):
+        for b, (bz, bx) in enumerate(_CORNERS):
+            stencil[az:az + nr, ax:ax + nc, 1 + bz - az, 1 + bx - ax] += ke[:, :, _PACKED[a, b]]
+
 
 @dataclass(frozen=True)
 class FieldGrid:
@@ -98,6 +123,14 @@ class GapMap:
     dgamma_q: np.ndarray     # u' at the same points
 
 
+@dataclass(frozen=True)
+class Factor:
+    """SuperLU factor of the free-node block of one operator, with its free-node mask."""
+
+    free: np.ndarray
+    lu: object
+
+
 @dataclass
 class PotentialField:
     """Discrete potential on the layer grid and the mapped gap grid."""
@@ -114,7 +147,8 @@ class PotentialField:
     bottom_trace_dz1: np.ndarray     # dz(psi1) at z = -H, per column
     boundary_inf: float
     boundary_sup: float
-    residual: float
+    residual: float                  # ||A x - b|| of the free-node solve
+    factor: Factor = None            # the factor the solve used, for reuse on a nearby state
 
     @property
     def contact_mask(self) -> np.ndarray:
@@ -128,9 +162,11 @@ class PotentialField:
 class FieldSolver:
     """Assembles and solves the transmission problem for plate states.
 
-    The layer block does not depend on the plate, so its element
-    contributions are built once per (params, grid) and reused; only the gap
-    block is reassembled per state.
+    The layer and gap grids share the interface row and number their nodes
+    row-major, so together they form one (n_z1+n_z2+1) x (n_x+1) tensor grid
+    on which the operator is a nine-point stencil.  Its CSR pattern and the
+    state-independent layer block are built once per (params, grid); only
+    the gap block's values are recomputed per state.
 
     The instance holds only this state-independent structure and no method
     modifies it: every per-state quantity lives in the returned GapMap and
@@ -177,7 +213,26 @@ class FieldSolver:
         # flatten to q = 2*qz + qx, matching the shape-table ordering
         self._sigma1_q = p.sigma1_at(self._xq[None, :, None, :], zq[:, None, :, None]).reshape(-1, 4)
 
-        self._layer = self._assemble_layer()
+        # nine-point CSR pattern: row r*nc + c holds its in-grid neighbors in
+        # (dz, dx) order, which is ascending column order
+        nr, nc = nz1 + nz2 + 1, nx + 1
+        r = np.arange(nr)[:, None, None, None] + np.arange(-1, 2)[None, None, :, None]
+        c = np.arange(nc)[None, :, None, None] + np.arange(-1, 2)[None, None, None, :]
+        self._in_grid = (r >= 0) & (r < nr) & (c >= 0) & (c < nc)        # (nr, nc, 3, 3)
+        self._indices = np.broadcast_to(r * nc + c, self._in_grid.shape)[self._in_grid].astype(np.int32)
+        row_nnz = self._in_grid.sum(axis=(2, 3)).ravel()
+        self._indptr = np.concatenate(([0], np.cumsum(row_nnz))).astype(np.int32)
+        self._layer_stencil = np.zeros((nr, nc, 3, 3))
+        _add_elements(self._layer_stencil, self._assemble_layer())
+
+        # packed gap element matrix per unit coefficient gamma, -eta gamma' and
+        # (1 + (eta gamma')^2) / gamma at each Gauss point: [coefficient, qz, qx, entry]
+        kxx = np.einsum("aq,bq,q->qab", _NXI, _NXI, _W) / self.hx**2
+        kee = np.einsum("aq,bq,q->qab", _NZE, _NZE, _W) / self.heta**2
+        kxe = np.einsum("aq,bq,q->qab", _NXI, _NZE, _W) / (self.hx * self.heta)
+        kxe = kxe + kxe.transpose(0, 2, 1)
+        kernel = np.stack([kxx, kxe, kee])[:, :, _UPPER[0], _UPPER[1]]
+        self._gap_kernel = (self.hx * self.heta * p.sigma2 * kernel).reshape(3, 2, 2, 10)
 
     # -- assembly ---------------------------------------------------------
 
@@ -193,63 +248,56 @@ class FieldSolver:
         """Corner entries of a gap-grid array for the kept gap elements, basis-ordered."""
         return arr.ravel()[self._conn2[:, gm.elems].reshape(-1, 4)]
 
-    def _assemble_layer(self):
-        """COO triplets of the (state-independent) layer block."""
+    def _assemble_layer(self) -> np.ndarray:
+        """Packed element matrices of the (state-independent) layer block, (n_z1, n_x, 10)."""
         hx, hz = self.hx, self.hz1
-        nodes = self._conn1  # (ne, 4)
+        shape = (self.grid.n_z1, self.grid.n_x, 10)
         kxx = np.einsum("aq,bq,q->ab", _NXI, _NXI, _W) / hx**2 * (hx * hz)
         kzz = np.einsum("aq,bq,q->ab", _NZE, _NZE, _W) / hz**2 * (hx * hz)
         if self.p.sigma1_is_constant:
             elem = float(self.p.sigma1) * (kxx + kzz)  # type: ignore[arg-type]
-            vals = np.broadcast_to(elem, (nodes.shape[0], 4, 4)).ravel()
-        else:
-            kxx_q = np.einsum("aq,bq->abq", _NXI, _NXI) / hx**2
-            kzz_q = np.einsum("aq,bq->abq", _NZE, _NZE) / hz**2
-            vals = np.einsum("eq,abq,q->eab", self._sigma1_q, kxx_q + kzz_q, _W) * (hx * hz)
-            vals = vals.ravel()
-        rows = np.repeat(nodes, 4, axis=1).ravel()
-        cols = np.tile(nodes, (1, 4)).ravel()
-        return rows, cols, vals
+            return np.broadcast_to(elem[_UPPER], shape)
+        kxx_q = np.einsum("aq,bq->abq", _NXI, _NXI) / hx**2
+        kzz_q = np.einsum("aq,bq->abq", _NZE, _NZE) / hz**2
+        vals = np.einsum("eq,abq,q->eab", self._sigma1_q, kxx_q + kzz_q, _W) * (hx * hz)
+        return vals[:, _UPPER[0], _UPPER[1]].reshape(shape)
 
-    def _assemble_gap(self, gm: GapMap):
-        """COO triplets of the gap block for one state (contact elements dropped)."""
-        p, hx, he = self.p, self.hx, self.heta
-        nz2 = self.grid.n_z2
+    def _gap_coeffs(self, gm: GapMap):
+        """gamma and -eta gamma' at the Gauss points of the kept gap elements, as [jz, kx, qz, qx]."""
+        g4 = np.broadcast_to(gm.gamma_q[None, :, None, :], (self.grid.n_z2, len(gm.elems), 2, 2))
+        b4 = -self._etaq[:, None, :, None] * gm.dgamma_q[None, :, None, :]
+        return g4, b4
+
+    def _assemble_gap(self, gm: GapMap) -> np.ndarray:
+        """Packed element matrices of the gap block of one state, (n_z2, n_x, 10).
+
+        Elements dropped at contact stay zero.
+        """
         if np.any(~gm.contact & (gm.gamma < gm.eps_contact / 2.0)):
             raise DegenerateGap("non-contact column with gap below eps_contact/2")
-        if not len(gm.elems):
-            return np.array([], int), np.array([], int), np.array([], float)
-
-        # coefficient arrays per element (jz, kx) and Gauss point q = 2*qz + qx
-        g4 = np.broadcast_to(gm.gamma_q[None, :, None, :], (nz2, len(gm.elems), 2, 2)).reshape(-1, 4)
-        b4 = (-self._etaq[:, None, :, None] * gm.dgamma_q[None, :, None, :]).reshape(-1, 4)
-        c11 = g4
-        c12 = b4
-        c22 = (1.0 + b4**2) / g4
-
-        jac = hx * he * p.sigma2
-        kxx = np.einsum("aq,bq->abq", _NXI, _NXI) / hx**2
-        kee = np.einsum("aq,bq->abq", _NZE, _NZE) / he**2
-        kxe = (np.einsum("aq,bq->abq", _NXI, _NZE) + np.einsum("aq,bq->abq", _NZE, _NXI)) / (hx * he)
-        vals = (
-            np.einsum("eq,abq,q->eab", c11, kxx, _W)
-            + np.einsum("eq,abq,q->eab", c12, kxe, _W)
-            + np.einsum("eq,abq,q->eab", c22, kee, _W)
-        ) * jac
-
-        nodes = self._gap_corners(self.idx2, gm)
-        rows = np.repeat(nodes, 4, axis=1).ravel()
-        cols = np.tile(nodes, (1, 4)).ravel()
-        return rows, cols, vals.ravel()
+        nz2, nkx = self.grid.n_z2, len(gm.elems)
+        ke = np.zeros((nz2, self.grid.n_x, 10))
+        if nkx:
+            # gamma, gamma' vary along x only and eta along z only; with
+            # (1 + (eta gamma')^2) / gamma = 1 / gamma + eta^2 gamma'^2 / gamma an
+            # element matrix is a per-column table plus eta and eta^2 times
+            # per-column tables, summed over the vertical Gauss points
+            g, dg = gm.gamma_q, gm.dgamma_q                                # [kx, qx]
+            kg, kb, kc = self._gap_kernel                                  # [qz, qx, entry]
+            kept = g @ kg.sum(axis=0) + (1.0 / g) @ kc.sum(axis=0)        # [kx, entry]
+            for qz in range(2):
+                eta = self._etaq[:, qz, None, None]                        # [jz]
+                kept = kept + eta * (-dg @ kb[qz]) + eta**2 * ((dg**2 / g) @ kc[qz])
+            ke[:, gm.elems] = kept
+        return ke
 
     def _operator(self, gm: GapMap) -> sp.csr_matrix:
         """The assembled transmission operator on all nodes for one gap geometry."""
-        r1, c1, v1 = self._layer
-        r2, c2, v2 = self._assemble_gap(gm)
-        return sp.coo_matrix(
-            (np.concatenate([v1, v2]), (np.concatenate([r1, r2]), np.concatenate([c1, c2]))),
-            shape=(self.n_nodes, self.n_nodes),
-        ).tocsr()
+        stencil = self._layer_stencil.copy()
+        _add_elements(stencil[self.grid.n_z1:], self._assemble_gap(gm))
+        return sp.csr_matrix(
+            (stencil[self._in_grid], self._indices, self._indptr), shape=(self.n_nodes, self.n_nodes)
+        )
 
     # -- per-state geometry -------------------------------------------------
 
@@ -317,8 +365,15 @@ class FieldSolver:
 
     # -- solve ---------------------------------------------------------------
 
-    def solve(self, u: PlateState) -> PotentialField:
-        """Solve the transmission problem for one plate state."""
+    def solve(self, u: PlateState, factor: Factor = None) -> PotentialField:
+        """Solve the transmission problem for one plate state.
+
+        Given the ``factor`` of an earlier solve whose free nodes are this
+        state's, the free block is solved by CG preconditioned with that
+        factor.  Without one, or when CG misses ``tol_lin`` within
+        ``_PCG_MAXIT`` iterations, the block is factored afresh.  The returned
+        field carries the factor that was used.
+        """
         if self.grid.n_x % u.grid.n_elems != 0:
             raise ValueError("field n_x must be a multiple of the plate element count")
         gm = self.gap_map(u)
@@ -328,27 +383,36 @@ class FieldSolver:
         free = ~mask
         full = gvals.copy()
 
-        rhs = -(A[:, mask] @ gvals[mask])[free]
-        Aff = A[free][:, free].tocsc()
+        rhs = -(A @ gvals)[free]  # gvals is zero at the free nodes
+        Aff = A[free][:, free]
         rhs_norm = float(np.linalg.norm(rhs))
         if rhs_norm == 0.0:
             x = np.zeros(int(free.sum()))
             res = 0.0
         else:
-            x = spla.splu(
-                Aff, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
-            ).solve(rhs)
-            res = float(np.linalg.norm(Aff @ x - rhs))
+            x = None
+            if factor is not None and np.array_equal(factor.free, free):
+                pre = spla.LinearOperator(Aff.shape, matvec=factor.lu.solve)
+                x, info = spla.cg(Aff, rhs, rtol=self.tol_lin, maxiter=_PCG_MAXIT, M=pre)
+                res = float(np.linalg.norm(Aff @ x - rhs))
+                if info != 0 or not res <= self.tol_lin * rhs_norm:
+                    x = None
+            if x is None:
+                factor = Factor(free, spla.splu(
+                    Aff.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
+                ))
+                x = factor.lu.solve(rhs)
+                res = float(np.linalg.norm(Aff @ x - rhs))
             if not np.isfinite(res) or res > max(10.0 * self.tol_lin, 1e-8) * rhs_norm:
-                raise LinearSolveFailed(f"direct solve residual {res:.3e} vs rhs {rhs_norm:.3e}")
+                raise LinearSolveFailed(f"linear solve residual {res:.3e} vs rhs {rhs_norm:.3e}")
         full[free] = x
 
         psi1 = full[self.idx1]
         psi2 = full[self.idx2]
         b = gvals[mask]
-        return self._package(gm, psi1, psi2, res, float(b.min()), float(b.max()))
+        return self._package(gm, psi1, psi2, res, float(b.min()), float(b.max()), factor)
 
-    def _package(self, gm, psi1, psi2, res, binf, bsup) -> PotentialField:
+    def _package(self, gm, psi1, psi2, res, binf, bsup, factor) -> PotentialField:
         p = self.p
         hz1, he = self.hz1, self.heta
         d1 = (3.0 * psi1[-1] - 4.0 * psi1[-2] + psi1[-3]) / (2.0 * hz1)
@@ -366,7 +430,7 @@ class FieldSolver:
             top_trace_dz=dtop,
             bottom_trace_dz1=d1,
             boundary_inf=binf, boundary_sup=bsup,
-            residual=res,
+            residual=res, factor=factor,
         )
 
     # -- energies --------------------------------------------------------------
@@ -374,7 +438,6 @@ class FieldSolver:
     def form_value(self, psi1: np.ndarray, psi2: np.ndarray, gm: GapMap) -> float:
         """Dirichlet form  int sigma |grad psi|^2  with the assembly quadrature."""
         p, hx, hz, he = self.p, self.hx, self.hz1, self.heta
-        nz2 = self.grid.n_z2
 
         # layer
         e1 = psi1.ravel()[self._conn1]                         # (ne, 4)
@@ -384,8 +447,7 @@ class FieldSolver:
 
         # gap
         if len(gm.elems):
-            g4 = np.broadcast_to(gm.gamma_q[None, :, None, :], (nz2, len(gm.elems), 2, 2)).reshape(-1, 4)
-            b4 = (-self._etaq[:, None, :, None] * gm.dgamma_q[None, :, None, :]).reshape(-1, 4)
+            g4, b4 = (a.reshape(-1, 4) for a in self._gap_coeffs(gm))
             e2 = self._gap_corners(psi2, gm)
             gx = e2 @ _NXI / hx
             ge = e2 @ _NZE / he
@@ -421,9 +483,7 @@ class FieldSolver:
         if not len(ix):
             return grad
         xq = self._xq[ix]                                         # (nkx, 2)
-        g4 = np.broadcast_to(gm.gamma_q[None, :, None, :], (nz2, len(ix), 2, 2))
-        eta4 = np.broadcast_to(self._etaq[:, None, :, None], (nz2, len(ix), 2, 2))
-        b4 = -eta4 * gm.dgamma_q[None, :, None, :]
+        g4, b4 = self._gap_coeffs(gm)
 
         e2 = self._gap_corners(pf.psi2, gm)
         px = (e2 @ _NXI / hx).reshape(nz2, len(ix), 2, 2)         # [jz, kx, qz, qx]
@@ -434,7 +494,7 @@ class FieldSolver:
         fac = -0.5 * p.sigma2 * hx * he
         # accumulate the vertical direction; leaves weights per x Gauss point
         Wg = fac * np.sum(dI_dg * W4, axis=(0, 2))                # (nkx, 2)
-        Wb = fac * np.sum(dI_db * (-eta4) * W4, axis=(0, 2))      # (nkx, 2)
+        Wb = fac * np.sum(dI_db * -self._etaq[:, None, :, None] * W4, axis=(0, 2))  # (nkx, 2)
 
         # scatter onto the Hermite plate basis at the x Gauss points
         e_p, xi = u.grid.locate(xq.ravel())

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import MaxIterations, StalledDescent
-from .fields import FieldGrid, FieldSolver, PotentialField
+from .fields import Factor, FieldGrid, FieldSolver, PotentialField
 from .forces import ForceProfile, compute_force, force_load_vector
 from .hermite import (
     PlateGrid,
@@ -118,11 +118,9 @@ class SolveContext:
     plate: PlateGrid
     field_grid: FieldGrid
     settings: SolverSettings
-    B: object
-    S: object
+    K: object                # quadratic stiffness B + S (bending + tension)
     M: object
     field: FieldSolver
-    _K: object
     _free: np.ndarray
     _norms: np.ndarray
     _lu_cache: dict = field(default_factory=dict)
@@ -135,7 +133,7 @@ class SolveContext:
         key = mask.tobytes()
         lu = self._lu_cache.get(key)
         if lu is None:
-            lu = spla.splu(self._K[np.ix_(mask, mask)].tocsc())
+            lu = spla.splu(self.K[np.ix_(mask, mask)].tocsc())
             if len(self._lu_cache) > 64:
                 self._lu_cache.clear()
             self._lu_cache[key] = lu
@@ -160,15 +158,13 @@ def make_context(
     M = assemble_mass(plate)
     free = np.ones(plate.n_dofs, bool)
     free[clamped_dof_indices(plate)] = False
-    K = (B + S).tocsc()
     # energy-space norms of the single-DOF direction shapes (beta/tau-free)
     Bu, Su = assemble_bending_and_stretch(plate, 1.0, 1.0)
     norms = np.sqrt(Bu.diagonal() + Su.diagonal() + M.diagonal())
     solver = FieldSolver(p, family, field_grid, tol_lin=settings.tol_lin)
     return SolveContext(
         p=p, family=family, constants=constants, plate=plate, field_grid=field_grid,
-        settings=settings, B=B, S=S, M=M, field=solver,
-        _K=K, _free=free, _norms=norms,
+        settings=settings, K=B + S, M=M, field=solver, _free=free, _norms=norms,
     )
 
 
@@ -230,9 +226,13 @@ def tol_vi_for(ctx: SolveContext, u: PlateState) -> float:
 # -- energy evaluation -----------------------------------------------------------
 
 
-def _evaluate(ctx: SolveContext, u: PlateState, k: float):
-    """Fresh field solve + all energies + force profile for one state."""
-    pf = ctx.field.solve(u)
+def _evaluate(ctx: SolveContext, u: PlateState, k: float, factor: Factor = None):
+    """Field solve + all energies + force profile for one state.
+
+    ``factor`` is a held field factor to precondition the solve with (see
+    ``FieldSolver.solve``); the solve factors afresh without one.
+    """
+    pf = ctx.field.solve(u, factor)
     Ee = ctx.field.electrostatic_energy(pf)
     gprof = compute_force(u, pf, ctx.family, ctx.p)
     Em = mechanical_energy(u, ctx.p.beta, ctx.p.tau)
@@ -252,7 +252,7 @@ def _descent_residual(ctx: SolveContext, u: PlateState, ev: dict) -> np.ndarray:
     fights the trace-formula discretization error.
     """
     load = ctx.field.shape_gradient_load(ev["pf"], u)
-    return (ctx.B + ctx.S) @ u.dofs + ev["pen_grad"] + load
+    return ctx.K @ u.dofs + ev["pen_grad"] + load
 
 
 def _certify(ctx: SolveContext, u: PlateState, ev: dict):
@@ -260,7 +260,7 @@ def _certify(ctx: SolveContext, u: PlateState, ev: dict):
 
     The residual is the weak form: stiffness + penalty + force paired by the mass.
     """
-    r = (ctx.B + ctx.S) @ u.dofs + ev["pen_grad"] + force_load_vector(ev["gprof"], u, ctx.M)
+    r = ctx.K @ u.dofs + ev["pen_grad"] + force_load_vector(ev["gprof"], u, ctx.M)
     vi, fp = _residuals(ctx, u, r)
     return r, vi, fp, tol_vi_for(ctx, u)
 
@@ -314,11 +314,14 @@ def minimize_Ek(
 
     for it in range(1, st.max_outer + 1):
         r_cert, vi, fp, tol = _certify(ctx, u, ev)
-        trajectory.append({
+        # ls_trials and factorizations count what leaving this iterate costs
+        rec = {
             "iter": it - 1, "E_m": ev["E_m"], "E_e": ev["E_e"], "E_k": ev["E_k"],
             "step": step, "vi_residual": vi,
             "n_contact_nodes": int(np.sum(ev["gprof"].contact)),
-        })
+            "ls_trials": 0, "factorizations": 0,
+        }
+        trajectory.append(rec)
         if vi <= tol:
             return u, _report(ev, k, vi, fp, tol, iterations=it - 1, converged=True, trajectory=trajectory)
 
@@ -336,6 +339,9 @@ def minimize_Ek(
         else:
             candidates = [("trace", r_cert)]
 
+        # every trial is preconditioned by the factor of the current iterate; an
+        # accepted trial hands on the factor its own solve used
+        held = ev["pf"].factor
         accepted = None
         s = step
         for cand_name, r in candidates:
@@ -354,7 +360,9 @@ def minimize_Ek(
                 if np.array_equal(trial.dofs, u.dofs):
                     break  # step vanished under clipping/rounding
                 n_trials += 1
-                ev_t = _evaluate(ctx, trial, k)
+                ev_t = _evaluate(ctx, trial, k, held)
+                rec["ls_trials"] += 1
+                rec["factorizations"] += int(ev_t["pf"].factor is not held)
                 delta = ev_t["E_k"] - ev["E_k"]
                 pred = float(r @ (trial.dofs - u.dofs))
                 armijo = delta <= _ARMIJO_C1 * pred if pred < 0.0 else delta < 0.0

@@ -2,6 +2,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import memsplate.fields
 from memsplate import (
@@ -15,6 +17,7 @@ from memsplate import (
     interpolate,
 )
 from memsplate.errors import DegenerateGap, LinearSolveFailed
+from memsplate.fields import _NXI, _NZE, _W, Factor
 
 
 def flat_exact_arrays(solver, fam, c, H):
@@ -172,16 +175,35 @@ def test_variational_upper_bound(setup, rng):
 
 
 def test_linear_solve_failure_raises(setup, monkeypatch):
-    # a factorization whose solve returns a wrong vector must trip the residual check
+    # a factorization whose solve returns a wrong vector must trip the residual
+    # check, both when it is the first solve and when it is the fallback after
+    # CG on a held factor missed tol_lin
     p, fam, grid, solver = setup
+    u = PlateState.constant(grid, 0.0)
+    free = solver.solve(u).factor.free
 
     class WrongLU:
         def solve(self, rhs):
             return np.zeros_like(rhs)
 
-    monkeypatch.setattr(memsplate.fields, "spla", SimpleNamespace(splu=lambda *a, **k: WrongLU()))
+    class IdentityLU:  # unpreconditioned CG: far from tol_lin within the cap
+        def solve(self, rhs):
+            return rhs.copy()
+
+    factored = []
+
+    def splu(*a, **k):
+        factored.append(1)
+        return WrongLU()
+
+    monkeypatch.setattr(memsplate.fields, "spla", SimpleNamespace(
+        splu=splu, cg=spla.cg, LinearOperator=spla.LinearOperator))
     with pytest.raises(LinearSolveFailed):
-        solver.solve(PlateState.constant(grid, 0.0))
+        solver.solve(u)
+    assert len(factored) == 1
+    with pytest.raises(LinearSolveFailed):
+        solver.solve(u, factor=Factor(free, IdentityLU()))
+    assert len(factored) == 2
 
 
 def test_solver_keeps_no_per_state_data(setup):
@@ -193,6 +215,8 @@ def test_solver_keeps_no_per_state_data(setup):
     solver.electrostatic_energy(pf)
     solver.shape_gradient_load(pf, u)
     solver.boundary_data_energy(u)
+    u2 = PlateState(grid, 1.02 * u.dofs)
+    assert solver.solve(u2, factor=pf.factor).factor is pf.factor
     after = vars(solver)
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
@@ -235,3 +259,101 @@ def test_degenerate_gap_guard(setup):
     gm.gamma[5] = gm.eps_contact / 4.0
     with pytest.raises(DegenerateGap):
         solver._assemble_gap(gm)
+
+
+def coo_reference_operator(solver, gm):
+    """The operator assembled element by element as COO triplets (duplicates summed)."""
+    p, hx, hz, he = solver.p, solver.hx, solver.hz1, solver.heta
+    nz2 = solver.grid.n_z2
+    kxx_q = np.einsum("aq,bq->abq", _NXI, _NXI)
+    kzz_q = np.einsum("aq,bq->abq", _NZE, _NZE)
+    kxz_q = np.einsum("aq,bq->abq", _NXI, _NZE) + np.einsum("aq,bq->abq", _NZE, _NXI)
+    layer = np.einsum("eq,abq,q->eab", solver._sigma1_q, kxx_q / hx**2 + kzz_q / hz**2, _W) * (hx * hz)
+    nodes = [solver._conn1]
+    vals = [layer]
+    if len(gm.elems):
+        g = np.broadcast_to(gm.gamma_q[None, :, None, :], (nz2, len(gm.elems), 2, 2)).reshape(-1, 4)
+        b = (-solver._etaq[:, None, :, None] * gm.dgamma_q[None, :, None, :]).reshape(-1, 4)
+        gap = (np.einsum("eq,abq,q->eab", g, kxx_q / hx**2, _W)
+               + np.einsum("eq,abq,q->eab", b, kxz_q / (hx * he), _W)
+               + np.einsum("eq,abq,q->eab", (1.0 + b**2) / g, kzz_q / he**2, _W)) * (hx * he * p.sigma2)
+        nodes.append(solver.idx2.ravel()[solver._conn2[:, gm.elems].reshape(-1, 4)])
+        vals.append(gap)
+    nodes = np.concatenate(nodes)
+    rows = np.repeat(nodes, 4, axis=1).ravel()
+    cols = np.tile(nodes, (1, 4)).ravel()
+    return sp.coo_matrix((np.concatenate(vals).ravel(), (rows, cols)),
+                         shape=(solver.n_nodes, solver.n_nodes)).tocsr()
+
+
+@pytest.mark.parametrize("varying_layer", [False, True])
+def test_fixed_pattern_operator_matches_coo_assembly(varying_layer):
+    if varying_layer:
+        p = PhysicalParams(V=2.0, sigma1=lambda x, z: 1.0 + 0.3 * np.cos(x) + 0.2 * z)
+        fgrid = FieldGrid(32, 12, 8)
+    else:
+        p = PhysicalParams(V=2.0)
+        fgrid = FieldGrid(16, 8, 8)
+    # the boundary family feeds only the Dirichlet data, not the operator
+    solver = FieldSolver(p, build_canonical_boundary_data(PhysicalParams(V=2.0)), fgrid)
+    grid = PlateGrid(16, p.L)
+    states = {
+        "flat": PlateState.constant(grid, 0.0),
+        "deflected": interpolate(grid, lambda x: 0.3 * np.sin(np.pi * x) * (1 - x**2),
+                                 lambda x: 0.3 * (np.pi * np.cos(np.pi * x) * (1 - x**2)
+                                                  - 2 * x * np.sin(np.pi * x))),
+        "contact": interpolate(grid, lambda x: -p.H * np.cos(np.pi * x / 2) ** 4,
+                               lambda x: 2 * p.H * np.pi * np.cos(np.pi * x / 2) ** 3
+                               * np.sin(np.pi * x / 2)),
+    }
+    nnz = set()
+    for name, u in states.items():
+        gm = solver.gap_map(u)
+        assert (name == "contact") == bool(gm.contact.any())
+        A = solver._operator(gm)
+        ref = coo_reference_operator(solver, gm)
+        assert abs(A - ref).max() <= 1e-13 * abs(ref).max(), name
+        nnz.add(A.nnz)
+    # one pattern for every state: dropped contact elements leave stored zeros
+    nr, nc = fgrid.n_z1 + fgrid.n_z2 + 1, fgrid.n_x + 1
+    assert nnz == {(3 * nr - 2) * (3 * nc - 2)}
+
+
+def test_held_factor_solve_matches_direct(setup):
+    p, fam, grid, solver = setup
+    f = lambda a: interpolate(grid, lambda x: -a * np.cos(np.pi * x / 2) ** 2,
+                              lambda x: a * np.pi / 2 * np.sin(np.pi * x))
+    u0, u = f(0.30), f(0.33)
+    held = solver.solve(u0).factor
+    pf = solver.solve(u, factor=held)
+    ref = solver.solve(u)
+    assert pf.factor is held and ref.factor is not held
+
+    gm = solver.gap_map(u)
+    A = solver._operator(gm)
+    mask, gvals = solver._dirichlet(u, gm)
+    free = ~mask
+    rhs = -(A[:, mask] @ gvals[mask])[free]
+    Aff = A[free][:, free]
+    assert 0.0 < pf.residual <= solver.tol_lin * np.linalg.norm(rhs)
+    # error e = Aff^-1 r: |e| <= |r| / lambda_min, and the energy moves by e'Aff e / 2
+    lam_min = np.linalg.eigvalsh(Aff.toarray())[0]
+    err = pf.residual / lam_min
+    assert np.max(np.abs(pf.psi1 - ref.psi1)) <= err + 1e-13
+    assert np.max(np.abs(pf.psi2 - ref.psi2)) <= err + 1e-13
+    E, E_ref = solver.electrostatic_energy(pf), solver.electrostatic_energy(ref)
+    assert abs(E - E_ref) <= 0.5 * pf.residual * err + 1e-13 * abs(E_ref)
+
+
+def test_held_factor_of_another_contact_set_is_not_used(setup):
+    p, fam, grid, solver = setup
+    u0 = interpolate(grid, lambda x: -0.9 * p.H * np.cos(np.pi * x / 2) ** 2,
+                     lambda x: 0.9 * p.H * np.pi / 2 * np.sin(np.pi * x))
+    u = interpolate(grid, lambda x: -p.H * np.cos(np.pi * x / 2) ** 2,
+                    lambda x: p.H * np.pi / 2 * np.sin(np.pi * x))
+    held = solver.solve(u0).factor
+    pf = solver.solve(u, factor=held)
+    assert pf.contact_mask.any() and not solver.gap_map(u0).contact.any()
+    assert pf.factor is not held and not np.array_equal(pf.factor.free, held.free)
+    ref = solver.solve(u)
+    assert np.array_equal(pf.psi1, ref.psi1) and np.array_equal(pf.psi2, ref.psi2)

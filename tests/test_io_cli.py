@@ -198,9 +198,9 @@ def test_cli_solve_solves_only_inside_the_descent(tmp_path, monkeypatch):
     depth = [0]
     solve, minimize_Ek = FieldSolver.solve, memsplate.minimize.minimize_Ek
 
-    def counted_solve(self, u):
+    def counted_solve(self, *args, **kwargs):
         solves["inside" if depth[0] else "outside"] += 1
-        return solve(self, u)
+        return solve(self, *args, **kwargs)
 
     def tracked_minimize(*args, **kwargs):
         depth[0] += 1
@@ -213,6 +213,36 @@ def test_cli_solve_solves_only_inside_the_descent(tmp_path, monkeypatch):
     monkeypatch.setattr(memsplate.minimize, "minimize_Ek", tracked_minimize)
     assert main(["solve", "--config", write_config(tmp_path), "--out", str(tmp_path / "o")]) == 0
     assert solves["inside"] > 0 and solves["outside"] == 0
+
+
+def test_cli_solve_factors_the_field_once_without_contact(tmp_path, monkeypatch):
+    # line-search trials reuse the factor of the first field solve as a CG
+    # preconditioner, so a contact-free descent factors exactly once
+    import memsplate.fields
+
+    real = memsplate.fields.spla
+    factored = []
+
+    class CountingLinalg:
+        def splu(self, *args, **kwargs):
+            factored.append(1)
+            return real.splu(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+    monkeypatch.setattr(memsplate.fields, "spla", CountingLinalg())
+    cfg = tmp_path / "dev32.ini"
+    cfg.write_text(CONFIG_SMALL.format(V=2.0).replace("n_elems = 16\nn_x = 16\nn_z1 = 8\nn_z2 = 8",
+                                                      "n_elems = 32\nn_x = 32\nn_z1 = 16\nn_z2 = 16"))
+    out = tmp_path / "o32"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    recs = [json.loads(line) for line in (out / "trajectory.jsonl").read_text().splitlines()]
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert["grid"]["n_elems"] == 32 and cert["n_contact_nodes"] == 0
+    assert sum(r["ls_trials"] for r in recs) > 1
+    assert len(factored) == 1
+    assert sum(r["factorizations"] for r in recs) == 0
 
 
 def test_cli_sweep_builds_one_context_per_point_and_one_more(tmp_path, monkeypatch):
@@ -255,7 +285,12 @@ def test_trajectory_log_schema(tmp_path):
     assert len(lines) >= 1
     for line in lines:
         rec = json.loads(line)
-        assert set(rec) == {"iter", "E_m", "E_e", "E_k", "step", "vi_residual", "n_contact_nodes"}
+        assert set(rec) == {"iter", "E_m", "E_e", "E_k", "step", "vi_residual", "n_contact_nodes",
+                            "ls_trials", "factorizations"}
+    recs = [json.loads(line) for line in lines]
+    assert recs[-1]["ls_trials"] == 0 and recs[-1]["factorizations"] == 0
+    assert all(r["ls_trials"] >= 1 for r in recs[:-1])
+    assert all(0 <= r["factorizations"] <= r["ls_trials"] for r in recs)
 
 
 def test_cli_sweep_all_points_fail(tmp_path):

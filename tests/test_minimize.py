@@ -104,7 +104,7 @@ def test_small_voltage_descent_certificate(solved32, ctx32):
 
     pf = ctx32.field.solve(u)
     g = compute_force(u, pf, ctx32.family, ctx32.p)
-    r = (ctx32.B + ctx32.S) @ u.dofs + force_load_vector(g, u, ctx32.M)
+    r = ctx32.K @ u.dofs + force_load_vector(g, u, ctx32.M)
     viol = np.abs(r) / ctx32._norms
     viol[~ctx32._free] = 0.0
     assert np.max(viol) <= rep.tol_vi

@@ -100,7 +100,9 @@ def test_run_suite_all_mandatory_pass(ctx, solved):
 def test_run_suite_solves_the_state_once(ctx, solved, monkeypatch):
     calls = []
     solve = FieldSolver.solve
-    monkeypatch.setattr(FieldSolver, "solve", lambda self, u: calls.append(u) or solve(self, u))
+    monkeypatch.setattr(
+        FieldSolver, "solve", lambda self, *a, **k: calls.append(a) or solve(self, *a, **k)
+    )
     run_suite(solved, ctx)
     assert len(calls) == 1
 
