@@ -437,6 +437,8 @@ class FieldSolver:
 
     def form_value(self, psi1: np.ndarray, psi2: np.ndarray, gm: GapMap) -> float:
         """Dirichlet form  int sigma |grad psi|^2  with the assembly quadrature."""
+        # gradients before squares: psi^T A psi through the CSR operator cancels its
+        # large row entries and loses about three more digits
         p, hx, hz, he = self.p, self.hx, self.hz1, self.heta
 
         # layer

@@ -95,15 +95,13 @@ def force_analytic_flat(c: float, family: BoundaryDataFamily, p: PhysicalParams)
     return 0.5 * p.sigma2 * s1**2 * p.V**2 / (p.sigma2 * p.d + s1 * (c + p.H)) ** 2
 
 
-def force_load_vector(gprof: ForceProfile, u: PlateState, M=None) -> np.ndarray:
+def force_load_vector(gprof: ForceProfile, u: PlateState, M) -> np.ndarray:
     """Pair the nodal force with the plate space: load_i = int g_h phi_i.
 
     g is carried as the value-interpolant (zero slope coefficients) and
     integrated against the Hermite basis through the consistent mass matrix,
     the same pairing the energies use.
     """
-    if M is None:
-        M = assemble_mass(u.grid)
     return M @ PlateState.from_nodal(u.grid, gprof.values, 0.0).dofs
 
 

@@ -26,8 +26,8 @@ __all__ = [
     "write_plate_csv", "read_plate_csv",
     "write_potential_csv",
     "write_force_csv", "write_contact_csv",
-    "write_json", "read_json", "write_trajectory", "sha256_of",
-    "ConfigBundle", "parse_config", "default_config_text",
+    "write_json", "write_trajectory", "sha256_of",
+    "ConfigBundle", "parse_config",
 ]
 
 
@@ -141,11 +141,6 @@ def write_json(path, obj):
         fh.write("\n")
 
 
-def read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def write_trajectory(path, trajectory: list):
     """Line-delimited records, one per outer iteration."""
     with open(path, "w") as fh:
@@ -234,10 +229,15 @@ def parse_config(path) -> ConfigBundle:
             raise ConfigError(f"unsupported boundary family '{family_tag}' (only 'canonical')")
 
     g = cp["grid"] if "grid" in cp else {}
-    n_elems = int(g.get("n_elems", 128))
-    n_x = int(g.get("n_x", n_elems))
-    n_z1 = int(g.get("n_z1", 64))
-    n_z2 = int(g.get("n_z2", 64))
+    try:
+        n_elems = int(g.get("n_elems", 128))
+        n_x = int(g.get("n_x", n_elems))
+        n_z1 = int(g.get("n_z1", 64))
+        n_z2 = int(g.get("n_z2", 64))
+    except ValueError as exc:
+        raise ConfigError(f"invalid grid: {exc}") from exc
+    if n_elems < 1:
+        raise ConfigError("n_elems must be >= 1")
     if n_x % n_elems != 0:
         raise ConfigError("n_x must be a multiple of n_elems")
     try:
@@ -265,29 +265,3 @@ def parse_config(path) -> ConfigBundle:
         },
     }
     return ConfigBundle(params, family_tag, n_elems, fgrid, settings, snapshot)
-
-
-def default_config_text(V: float = 2.0, n_elems: int = 128) -> str:
-    return f"""[physics]
-beta = 1.0
-tau = 0.0
-L = 1.0
-H = 1.0
-d = 1.0
-sigma1 = 1.0
-sigma2 = 1.0
-V = {V}
-
-[boundary]
-family = canonical
-
-[grid]
-n_elems = {n_elems}
-n_x = {n_elems}
-n_z1 = 64
-n_z2 = 64
-
-[solver]
-tol_lin = 1e-10
-max_outer = 200
-"""

@@ -74,8 +74,12 @@ class SolverSettings:
     tol_lin: float = 1e-10
 
     def __post_init__(self):
-        if not self.tol_vi_factor > 0:
-            raise ValueError("tol_vi_factor must be positive")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be >= 1")
+        if not 0.0 < self.tol_vi_factor < np.inf:
+            raise ValueError("tol_vi_factor must be positive and finite")
+        if not 0.0 < self.tol_lin < np.inf:
+            raise ValueError("tol_lin must be positive and finite")
 
 
 @dataclass

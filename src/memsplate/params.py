@@ -43,6 +43,15 @@ EPS_M = 1e-12  # floor for certified constants that are structurally zero
 
 SAFETY = 1.05  # inflation factor on grid-maximized constants
 
+# sampling of the certified maxima: w grid (its even points are the coarse grid),
+# local refinement, and the x / z samples of the growth ratios and the trace
+_N_W = 601
+_N_REFINE = 101
+_REFINE_PASSES = 2
+_N_X_M = 33
+_N_ZT = 41
+_N_X_K = 101
+
 Sigma1 = Union[float, Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
 
@@ -65,20 +74,20 @@ class PhysicalParams:
 
     def __post_init__(self):
         checks = [
-            (self.beta > 0.0, "beta must be > 0"),
-            (self.tau >= 0.0, "tau must be >= 0"),
-            (self.L > 0.0, "L must be > 0"),
-            (self.H > 0.0, "H must be > 0"),
-            (self.d > 0.0, "d must be > 0"),
-            (self.sigma2 > 0.0, "sigma2 must be > 0"),
-            (self.V >= 0.0, "V must be >= 0"),
+            (0.0 < self.beta < np.inf, "beta must be finite and > 0"),
+            (0.0 <= self.tau < np.inf, "tau must be finite and >= 0"),
+            (0.0 < self.L < np.inf, "L must be finite and > 0"),
+            (0.0 < self.H < np.inf, "H must be finite and > 0"),
+            (0.0 < self.d < np.inf, "d must be finite and > 0"),
+            (0.0 < self.sigma2 < np.inf, "sigma2 must be finite and > 0"),
+            (0.0 <= self.V < np.inf, "V must be finite and >= 0"),
         ]
         for ok, msg in checks:
             if not ok:
                 raise ValueError(msg)
         if self.sigma1_is_constant:
-            if not float(self.sigma1) > 0.0:  # type: ignore[arg-type]
-                raise ValueError("sigma1 must be > 0")
+            if not 0.0 < float(self.sigma1) < np.inf:  # type: ignore[arg-type]
+                raise ValueError("sigma1 must be finite and > 0")
         else:
             if self.sigma1_min() <= 0.0:
                 raise ValueError("sigma1 must be positive throughout the layer")
@@ -146,52 +155,64 @@ def _bcast(x, z, w):
     return np.broadcast_arrays(np.asarray(x, float), np.asarray(z, float), np.asarray(w, float))
 
 
-def build_canonical_boundary_data(p: PhysicalParams) -> BoundaryDataFamily:
-    """Builtin transmission-profile family; requires a spatially uniform layer."""
+def _transmission_family(
+    p: PhysicalParams, v: Callable, dv: Callable, tag: str, constant_potential: bool
+) -> BoundaryDataFamily:
+    """Transmission profile with plate potential v(x) and its derivative dv(x)."""
     if not p.sigma1_is_constant:
         raise NonConstantPermittivity(
-            "builtin boundary family needs constant sigma1; supply a family explicitly"
+            "transmission-profile family needs constant sigma1; supply a family explicitly"
         )
     s1 = float(p.sigma1)  # type: ignore[arg-type]
-    s2, d, H, V = p.sigma2, p.d, p.H, p.V
+    s2, d, H = p.sigma2, p.d, p.H
 
     def denom(w):
         return s2 * d + s1 * (w + H)
 
     def h1(x, z, w):
         x, z, w = _bcast(x, z, w)
-        return V * s2 * (z + H + d) / denom(w)
+        return v(x) * s2 * (z + H + d) / denom(w)
 
     def h2(x, z, w):
         x, z, w = _bcast(x, z, w)
-        return V * (s1 * (z + H) + s2 * d) / denom(w)
+        return v(x) * (s1 * (z + H) + s2 * d) / denom(w)
 
-    def zero(x, z, w):
+    def dx_h1(x, z, w):
         x, z, w = _bcast(x, z, w)
-        return np.zeros_like(z)
+        return dv(x) * s2 * (z + H + d) / denom(w)
 
     def dz_h1(x, z, w):
         x, z, w = _bcast(x, z, w)
-        return V * s2 / denom(w) + 0.0 * z
+        return v(x) * s2 / denom(w) + 0.0 * z
 
     def dw_h1(x, z, w):
         x, z, w = _bcast(x, z, w)
-        return -V * s2 * s1 * (z + H + d) / denom(w) ** 2
+        return -v(x) * s2 * s1 * (z + H + d) / denom(w) ** 2
+
+    def dx_h2(x, z, w):
+        x, z, w = _bcast(x, z, w)
+        return dv(x) * (s1 * (z + H) + s2 * d) / denom(w)
 
     def dz_h2(x, z, w):
         x, z, w = _bcast(x, z, w)
-        return V * s1 / denom(w) + 0.0 * z
+        return v(x) * s1 / denom(w) + 0.0 * z
 
     def dw_h2(x, z, w):
         x, z, w = _bcast(x, z, w)
-        return -V * s1 * (s1 * (z + H) + s2 * d) / denom(w) ** 2
+        return -v(x) * s1 * (s1 * (z + H) + s2 * d) / denom(w) ** 2
 
     return BoundaryDataFamily(
         h1=h1, h2=h2,
-        dx_h1=zero, dz_h1=dz_h1, dw_h1=dw_h1,
-        dx_h2=zero, dz_h2=dz_h2, dw_h2=dw_h2,
-        tag="builtin-canonical", V=V, constant_potential=True,
+        dx_h1=dx_h1, dz_h1=dz_h1, dw_h1=dw_h1,
+        dx_h2=dx_h2, dz_h2=dz_h2, dw_h2=dw_h2,
+        tag=tag, V=p.V, constant_potential=constant_potential,
     )
+
+
+def build_canonical_boundary_data(p: PhysicalParams) -> BoundaryDataFamily:
+    """Builtin transmission-profile family; requires a spatially uniform layer."""
+    V = p.V
+    return _transmission_family(p, lambda x: V, lambda x: 0.0, "builtin-canonical", True)
 
 
 def build_varying_potential_family(p: PhysicalParams, v_of_x: Callable, dv_of_x: Callable) -> BoundaryDataFamily:
@@ -201,52 +222,7 @@ def build_varying_potential_family(p: PhysicalParams, v_of_x: Callable, dv_of_x:
     plate is no longer at a constant potential, so the trace constant K is
     genuinely positive.  Useful as a nontrivial admissible family in tests.
     """
-    if not p.sigma1_is_constant:
-        raise NonConstantPermittivity("varying-potential family needs constant sigma1")
-    s1 = float(p.sigma1)  # type: ignore[arg-type]
-    s2, d, H = p.sigma2, p.d, p.H
-
-    def denom(w):
-        return s2 * d + s1 * (w + H)
-
-    def h1(x, z, w):
-        x, z, w = _bcast(x, z, w)
-        return v_of_x(x) * s2 * (z + H + d) / denom(w)
-
-    def h2(x, z, w):
-        x, z, w = _bcast(x, z, w)
-        return v_of_x(x) * (s1 * (z + H) + s2 * d) / denom(w)
-
-    def dx_h1(x, z, w):
-        x, z, w = _bcast(x, z, w)
-        return dv_of_x(x) * s2 * (z + H + d) / denom(w)
-
-    def dz_h1(x, z, w):
-        x, z, w = _bcast(x, z, w)
-        return v_of_x(x) * s2 / denom(w) + 0.0 * z
-
-    def dw_h1(x, z, w):
-        x, z, w = _bcast(x, z, w)
-        return -v_of_x(x) * s2 * s1 * (z + H + d) / denom(w) ** 2
-
-    def dx_h2(x, z, w):
-        x, z, w = _bcast(x, z, w)
-        return dv_of_x(x) * (s1 * (z + H) + s2 * d) / denom(w)
-
-    def dz_h2(x, z, w):
-        x, z, w = _bcast(x, z, w)
-        return v_of_x(x) * s1 / denom(w) + 0.0 * z
-
-    def dw_h2(x, z, w):
-        x, z, w = _bcast(x, z, w)
-        return -v_of_x(x) * s1 * (s1 * (z + H) + s2 * d) / denom(w) ** 2
-
-    return BoundaryDataFamily(
-        h1=h1, h2=h2,
-        dx_h1=dx_h1, dz_h1=dz_h1, dw_h1=dw_h1,
-        dx_h2=dx_h2, dz_h2=dz_h2, dw_h2=dw_h2,
-        tag="user-supplied", V=p.V, constant_potential=False,
-    )
+    return _transmission_family(p, v_of_x, dv_of_x, "user-supplied", False)
 
 
 def family_invariant_report(f: BoundaryDataFamily, p: PhysicalParams, w_max: float = None, n: int = 41) -> dict:
@@ -288,36 +264,38 @@ def validate_family(f: BoundaryDataFamily, p: PhysicalParams, tol: float = 1e-10
     return rep
 
 
-def _refined_max(eval_on_w, w_lo: float, w_hi: float, n_w: int = 601, passes: int = 3) -> float:
-    """Max over w of eval_on_w(w_array) with local grid refinement around the argmax."""
-    lo, hi = w_lo, w_hi
-    best = -np.inf
-    for _ in range(passes):
-        w = np.linspace(lo, hi, n_w)
+def _certified_max(eval_on_w, w_lo: float, w_hi: float, label: str) -> float:
+    """Max over w in [w_lo, w_hi] of eval_on_w(w_array), certified against growth.
+
+    One _N_W-point grid is evaluated; its even points form the coarse grid.  A
+    fine maximum that is not finite or exceeds 1.25x the coarse one raises
+    UnboundedGrowth.  Then _REFINE_PASSES grids of _N_REFINE points refine
+    around the running argmax, two steps of the previous grid to each side.
+    """
+    w = np.linspace(w_lo, w_hi, _N_W)
+    vals = eval_on_w(w)
+    coarse = max(-np.inf, float(np.max(vals[::2])))  # a NaN sample counts as -inf
+    i = int(np.argmax(vals))
+    best = max(-np.inf, float(vals[i]))
+    if not np.isfinite(best) or best > 1.25 * max(coarse, EPS_M):
+        raise UnboundedGrowth(
+            f"{label} keeps growing under grid refinement ({coarse:.3e} -> {best:.3e})"
+        )
+    dw = (w_hi - w_lo) / (_N_W - 1)
+    for _ in range(_REFINE_PASSES):
+        lo = max(w_lo, w[i] - 2.0 * dw)
+        hi = min(w_hi, w[i] + 2.0 * dw)
+        if hi <= lo:
+            break
+        w = np.linspace(lo, hi, _N_REFINE)
         vals = eval_on_w(w)
         i = int(np.argmax(vals))
         best = max(best, float(vals[i]))
-        dw = (hi - lo) / (n_w - 1)
-        lo = max(w_lo, w[i] - 2.0 * dw)
-        hi = min(w_hi, w[i] + 2.0 * dw)
-        n_w = 101
-        if hi <= lo:
-            break
+        dw = (hi - lo) / (_N_REFINE - 1)
     return best
 
 
-def _check_bounded(eval_on_w, w_lo: float, w_hi: float, label: str):
-    coarse = _refined_max(eval_on_w, w_lo, w_hi, n_w=301, passes=1)
-    fine = _refined_max(eval_on_w, w_lo, w_hi, n_w=601, passes=1)
-    if not np.isfinite(fine) or fine > 1.25 * max(coarse, EPS_M):
-        raise UnboundedGrowth(
-            f"{label} keeps growing under grid refinement ({coarse:.3e} -> {fine:.3e})"
-        )
-
-
-def compute_m_constants(
-    f: BoundaryDataFamily, p: PhysicalParams, w_max: float, n_x: int = 33, n_zt: int = 41
-) -> tuple[float, float, float]:
+def compute_m_constants(f: BoundaryDataFamily, p: PhysicalParams, w_max: float) -> tuple[float, float, float]:
     """Growth constants (m1, m2, m3) certified on deflections in [-H, w_max].
 
     m2 is pinned to the floor and m1 absorbs the whole (x, z, w) dependence on
@@ -327,9 +305,9 @@ def compute_m_constants(
     """
     if w_max < p.H:
         raise ValueError("w_max must cover at least the gap height")
-    x = np.linspace(-p.L, p.L, n_x)[:, None, None]
-    z1 = np.linspace(-p.H - p.d, -p.H, n_zt)[None, :, None]
-    t = np.linspace(0.0, 1.0, n_zt)[None, :, None]
+    x = np.linspace(-p.L, p.L, _N_X_M)[:, None, None]
+    z1 = np.linspace(-p.H - p.d, -p.H, _N_ZT)[None, :, None]
+    t = np.linspace(0.0, 1.0, _N_ZT)[None, :, None]
 
     def layer_ratio(w):
         w = w[None, None, :]
@@ -350,23 +328,20 @@ def compute_m_constants(
         z = -p.H + t * (w + p.H)
         return np.max(f.dw_h2(x, z, w) ** 2 * (p.H + w), axis=(0, 1))
 
-    for fn, label in [(layer_ratio, "m1 (layer)"), (gap_ratio, "m1 (gap)"),
-                      (layer_w_ratio, "m3 (layer)"), (gap_w_ratio, "m3 (gap)")]:
-        _check_bounded(fn, -p.H, w_max, label)
-
+    m1_layer, m1_gap, m3_layer, m3_gap = (
+        _certified_max(fn, -p.H, w_max, label)
+        for fn, label in [(layer_ratio, "m1 (layer)"), (gap_ratio, "m1 (gap)"),
+                          (layer_w_ratio, "m3 (layer)"), (gap_w_ratio, "m3 (gap)")]
+    )
     m2 = EPS_M
-    m1_raw = max(_refined_max(layer_ratio, -p.H, w_max), _refined_max(gap_ratio, -p.H, w_max))
-    m3_raw = max(_refined_max(layer_w_ratio, -p.H, w_max), _refined_max(gap_w_ratio, -p.H, w_max))
-    m1 = max(EPS_M, SAFETY * m1_raw)
-    m3 = max(EPS_M, SAFETY * m3_raw)
+    m1 = max(EPS_M, SAFETY * max(m1_layer, m1_gap))
+    m3 = max(EPS_M, SAFETY * max(m3_layer, m3_gap))
     return m1, m2, m3
 
 
-def compute_K_and_G0(
-    f: BoundaryDataFamily, p: PhysicalParams, w_max: float, n_x: int = 101
-) -> tuple[float, float]:
+def compute_K_and_G0(f: BoundaryDataFamily, p: PhysicalParams, w_max: float) -> tuple[float, float]:
     """Plate-trace gradient bound K and the force floor magnitude G0 = sigma2 K^2."""
-    x = np.linspace(-p.L, p.L, n_x)[:, None]
+    x = np.linspace(-p.L, p.L, _N_X_K)[:, None]
     wchk = np.linspace(-p.H, w_max, 101)[None, :]
     kb0 = np.max(np.abs(f.dw_h1(x, -p.H - p.d, wchk)))
     if kb0 > 1e-10 * max(1.0, abs(f.V)):
@@ -380,8 +355,7 @@ def compute_K_and_G0(
             np.abs(f.dx_h2(x, w, w)) + np.abs(f.dz_h2(x, w, w) + f.dw_h2(x, w, w)), axis=0
         )
 
-    _check_bounded(trace, -p.H, w_max, "K")
-    K = max(EPS_M, SAFETY * _refined_max(trace, -p.H, w_max))
+    K = max(EPS_M, SAFETY * _certified_max(trace, -p.H, w_max, "K"))
     return K, p.sigma2 * K**2
 
 

@@ -19,7 +19,7 @@ from .bounds import (
     solve_clamped_bvp,
     solve_comparison_bvp,
 )
-from .fields import check_max_principle
+from .fields import check_max_principle, contact_threshold
 from .forces import ForceProfile
 from .hermite import PlateState, project_obstacle
 from .minimize import SolveContext, energy_total
@@ -81,7 +81,7 @@ def check_coincidence_interval(
     other families the report is still computed but flagged.
     """
     if tol_c is None:
-        tol_c = max(1e-9, u.grid.h**2) * H
+        tol_c = contact_threshold(u.grid.h, H)
     idx = np.nonzero(u.values <= -H + tol_c)[0]
     gaps = []
     if len(idx) > 1:
@@ -178,7 +178,7 @@ def comparison_sandwich(
     interpolation of the nodal force ``gprof`` of u.
     """
     p, c = ctx.p, ctx.constants
-    tol_c = max(1e-9, u.grid.h**2) * p.H
+    tol_c = contact_threshold(u.grid.h, p.H)
     nodes = u.grid.nodes
     comps = _inactive_components(u, p.H, tol_c)
     results = []

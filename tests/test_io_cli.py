@@ -123,6 +123,30 @@ def test_cli_solve_malformed_config(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        pytest.param("V = 2.0", "V = inf", id="V=inf"),
+        pytest.param("beta = 1.0", "beta = inf", id="beta=inf"),
+        pytest.param("n_elems = 16", "n_elems = 0", id="n_elems=0"),
+        pytest.param("n_elems = 16", "n_elems = abc", id="n_elems=abc"),
+        pytest.param("n_elems = 16\nn_x = 16", "n_elems = -4\nn_x = 8", id="n_elems=-4"),
+        pytest.param("[solver]", "[solver]\ntol_lin = -1", id="tol_lin=-1"),
+        pytest.param("[solver]", "[solver]\ntol_lin = inf", id="tol_lin=inf"),
+        pytest.param("tol_vi_factor = 1e-6", "tol_vi_factor = inf", id="tol_vi_factor=inf"),
+        pytest.param("[solver]", "[solver]\nmax_outer = 0", id="max_outer=0"),
+    ],
+)
+def test_cli_solve_rejects_out_of_range_values(tmp_path, old, new):
+    text = CONFIG_SMALL.format(V=2.0)
+    assert old in text
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text.replace(old, new))
+    with pytest.raises(ConfigError):
+        parse_config(bad)
+    assert main(["solve", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
 def test_cli_solve_and_verify_roundtrip(tmp_path):
     cfg = write_config(tmp_path, V=2.0)
     out = tmp_path / "out"

@@ -36,9 +36,13 @@ def solved32(ctx32):
 
 
 def test_settings_validation():
-    for bad in (0.0, -1e-8):
-        with pytest.raises(ValueError):
+    for bad in (0.0, -1e-8, np.inf, np.nan):
+        with pytest.raises(ValueError, match="tol_vi_factor"):
             SolverSettings(tol_vi_factor=bad)
+        with pytest.raises(ValueError, match="tol_lin"):
+            SolverSettings(tol_lin=bad)
+    with pytest.raises(ValueError, match="max_outer"):
+        SolverSettings(max_outer=0)
 
 
 def test_zero_voltage_minimizes_to_rest(rng):

@@ -17,7 +17,8 @@ from memsplate import (
     validate_family,
 )
 from memsplate.errors import AssumptionViolated, NonConstantPermittivity, UnboundedGrowth
-from memsplate.params import EPS_M, SAFETY, _refined_max
+import memsplate.params
+from memsplate.params import EPS_M, SAFETY, _certified_max
 
 
 def test_param_validation():
@@ -31,6 +32,9 @@ def test_param_validation():
         PhysicalParams(V=-0.5)
     with pytest.raises(ValueError):
         PhysicalParams(sigma1=-2.0)
+    for name in ("beta", "tau", "L", "H", "d", "sigma1", "sigma2", "V"):
+        with pytest.raises(ValueError, match=name):
+            PhysicalParams(**{name: np.inf})
 
 
 def test_canonical_structural_identities(unit_params, canonical):
@@ -77,7 +81,7 @@ def test_m_constants_gap_branch_matches_analytic_max(unit_params, canonical):
         w2 = w[None, :]
         return np.max(np.abs(f.dz_h2(x, w2, w2)) ** 2 * (p.H + w2), axis=0)
 
-    grid_max = _refined_max(branch, -p.H, 4.0)
+    grid_max = _certified_max(branch, -p.H, 4.0, "m1 (gap)")
     analytic = p.sigma1 * p.V**2 / (4.0 * p.sigma2 * p.d)
     assert grid_max == pytest.approx(analytic, rel=1e-2)
 
@@ -207,3 +211,113 @@ def test_derive_constants_ranges(unit_params, canonical):
 def test_sigma_bar_with_varying_layer():
     p = PhysicalParams(sigma1=lambda x, z: 2.0 + np.sin(x) * 0.5 + 0.0 * z, sigma2=1.0)
     assert sigma_bar(p) == pytest.approx(2.0 + 0.5 * np.sin(1.0), abs=1e-3)
+
+
+# The two-pass certification that _certified_max replaced, kept as its reference:
+# a 301- and a 601-point growth check, then a 601-point grid refined twice.
+def _reference_refined_max(eval_on_w, w_lo, w_hi, n_w=601, passes=3):
+    lo, hi = w_lo, w_hi
+    best = -np.inf
+    for _ in range(passes):
+        w = np.linspace(lo, hi, n_w)
+        vals = eval_on_w(w)
+        i = int(np.argmax(vals))
+        best = max(best, float(vals[i]))
+        dw = (hi - lo) / (n_w - 1)
+        lo = max(w_lo, w[i] - 2.0 * dw)
+        hi = min(w_hi, w[i] + 2.0 * dw)
+        n_w = 101
+        if hi <= lo:
+            break
+    return best
+
+
+def _reference_certified_max(eval_on_w, w_lo, w_hi, label):
+    coarse = _reference_refined_max(eval_on_w, w_lo, w_hi, n_w=301, passes=1)
+    fine = _reference_refined_max(eval_on_w, w_lo, w_hi, n_w=601, passes=1)
+    if not np.isfinite(fine) or fine > 1.25 * max(coarse, EPS_M):
+        raise UnboundedGrowth(
+            f"{label} keeps growing under grid refinement ({coarse:.3e} -> {fine:.3e})"
+        )
+    return _reference_refined_max(eval_on_w, w_lo, w_hi)
+
+
+def _outcome(certify, eval_on_w, w_lo, w_hi, label):
+    try:
+        return certify(eval_on_w, w_lo, w_hi, label)
+    except UnboundedGrowth as exc:
+        return ("UnboundedGrowth", str(exc))
+
+
+def _assert_matches_reference(eval_on_w, w_lo, w_hi, label):
+    n_points = []
+
+    def counted(w):
+        n_points.append(len(w))
+        return eval_on_w(w)
+
+    got = _outcome(_certified_max, counted, w_lo, w_hi, label)
+    assert got == _outcome(_reference_certified_max, eval_on_w, w_lo, w_hi, label), label
+    assert sum(n_points) <= 601 + 2 * 101
+    return got
+
+
+@pytest.mark.parametrize("case", ["V0", "V1", "V3", "V11", "tau0.5", "varying"])
+def test_certified_max_matches_two_pass_reference(case, monkeypatch):
+    if case == "varying":
+        p = PhysicalParams(V=2.0)
+        f = build_varying_potential_family(
+            p, lambda x: p.V * (1.0 + 0.3 * np.sin(np.pi * x)), lambda x: p.V * 0.3 * np.pi * np.cos(np.pi * x)
+        )
+    else:
+        p = PhysicalParams(V=3.0, tau=0.5) if case == "tau0.5" else PhysicalParams(V=float(case[1:]))
+        f = build_canonical_boundary_data(p)
+    calls = []
+
+    def recording(eval_on_w, w_lo, w_hi, label):
+        calls.append((eval_on_w, w_lo, w_hi, label))
+        return _certified_max(eval_on_w, w_lo, w_hi, label)
+
+    monkeypatch.setattr(memsplate.params, "_certified_max", recording)
+    derive_constants(p, f)
+    labels = [c[3] for c in calls]
+    assert labels[-4:] == ["m1 (layer)", "m1 (gap)", "m3 (layer)", "m3 (gap)"]
+    assert set(labels[:-4]) == {"K"}
+    for eval_on_w, w_lo, w_hi, label in calls:
+        _assert_matches_reference(eval_on_w, w_lo, w_hi, label)
+
+
+def test_certified_max_raises_where_the_reference_raises():
+    def with_nan(w):
+        v = np.sin(3.0 * w)
+        v[len(w) // 3] = np.nan
+        return v
+
+    # a hat on one odd point of the fine [-1, 4] grid, missed by its even (coarse) points
+    w_odd, step = np.linspace(-1.0, 4.0, 601)[301], 5.0 / 600
+
+    def hat(height):
+        return lambda w: 1.0 + height * np.maximum(0.0, 1.0 - np.abs(w - w_odd) / step)
+
+    cases = {
+        "interior peak": lambda w: -((w - 1.3) ** 2),
+        "hat 1.2x between coarse points": hat(0.2),
+        "hat 1.35x between coarse points": hat(0.35),
+        "oscillating": lambda w: np.sin(7.0 * w) * np.exp(-0.1 * w),
+        "peak at the left end": lambda w: np.exp(-w),
+        "structural zero": lambda w: np.zeros_like(w),
+        "pole next to the left end": lambda w: (w + 1.0) / (w + 1.0 + 1e-12) ** 2,
+        "narrow spike": lambda w: 1.0 / (1e-6 + (w - 0.123456789) ** 2),
+        "a NaN sample": with_nan,
+        "overflow": lambda w: np.where(w > 3.9, np.inf, 0.0),
+    }
+    raised = set()
+    for label, fn in cases.items():
+        for w_lo, w_hi in [(-1.0, 4.0), (-1.0, 175.35)]:
+            got = _assert_matches_reference(fn, w_lo, w_hi, label)
+            if isinstance(got, tuple):
+                raised.add(label)
+    assert raised == {
+        "hat 1.35x between coarse points", "pole next to the left end", "narrow spike",
+        "a NaN sample", "overflow",
+    }
