@@ -9,7 +9,7 @@ marked (their states are still monotone-energy local minimizers).
 """
 
 from memsplate import FieldGrid, PhysicalParams, make_context, minimize_Ek
-from memsplate.errors import MaxIterations, StalledDescent
+from memsplate.errors import DescentFailed
 from memsplate.verify import check_coincidence_interval
 
 volts = [1.0, 3.0, 5.0, 6.0, 7.5, 9.0, 11.0]
@@ -22,7 +22,7 @@ for V in volts:
     try:
         warm, rep = minimize_Ek(warm, max(ctx.constants.kappa0, 1.0), ctx)
         status = "certified"
-    except (StalledDescent, MaxIterations) as exc:
+    except DescentFailed as exc:
         warm, rep = exc.state, exc.report
         status = "local-min"
     coin = check_coincidence_interval(warm, ctx.p.H)

@@ -19,12 +19,12 @@ import numpy as np
 
 from . import __version__
 from .errors import (
+    AssumptionViolated,
     ConfigError,
+    DescentFailed,
     IncompatibleState,
-    LinearSolveFailed,
-    MaxIterations,
     MemsPlateError,
-    StalledDescent,
+    UnboundedGrowth,
 )
 from .hermite import PlateState
 from .io_files import (
@@ -56,12 +56,16 @@ def _setup_logging():
 
 
 def _context_from_bundle(bundle: ConfigBundle) -> SolveContext:
-    return make_context(
-        bundle.params,
-        n_elems=bundle.n_elems,
-        field_grid=bundle.field_grid,
-        settings=bundle.settings,
-    )
+    """The solve context of a config; constants that cannot be certified are a config error."""
+    try:
+        return make_context(
+            bundle.params,
+            n_elems=bundle.n_elems,
+            field_grid=bundle.field_grid,
+            settings=bundle.settings,
+        )
+    except (UnboundedGrowth, AssumptionViolated) as exc:
+        raise ConfigError(f"V={bundle.params.V:g}: {exc}") from exc
 
 
 def _manifest(bundle: ConfigBundle, ctx: SolveContext, outdir: Path, files: list, timings: dict) -> dict:
@@ -96,11 +100,7 @@ def _write_state_outputs(ctx: SolveContext, u, report: EnergyReport, outdir: Pat
 
 def cmd_solve(args) -> int:
     t_start = time.time()
-    try:
-        bundle = parse_config(args.config)
-    except ConfigError as exc:
-        log.error("config error: %s", exc)
-        return 2
+    bundle = parse_config(args.config)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     ctx = _context_from_bundle(bundle)
@@ -108,12 +108,12 @@ def cmd_solve(args) -> int:
     t_solve = time.time()
     try:
         u, report, certificate = continuation_pipeline(ctx)
-    except (StalledDescent, MaxIterations) as exc:
+    except DescentFailed as exc:
         log.error("solver failed: %s", exc)
         if exc.state is not None:
             write_plate_csv(outdir / "u.csv", exc.state)
         return 3
-    except (LinearSolveFailed, MemsPlateError) as exc:
+    except MemsPlateError as exc:
         log.error("solver failed: %s", exc)
         return 3
     t_solved = time.time()
@@ -141,12 +141,9 @@ def cmd_solve(args) -> int:
     return 0 if cert_ok else 4
 
 
-def _sweep_point(payload):
+def _sweep_point(bundle: ConfigBundle) -> dict:
     """One sweep voltage, cold-started (used by the process pool)."""
-    config_path, V = payload
-    bundle = parse_config(config_path).with_V(V)
-    ctx = _context_from_bundle(bundle)
-    return _run_sweep_point(ctx, None, V)
+    return _run_sweep_point(_context_from_bundle(bundle), None, bundle.params.V)
 
 
 def _run_sweep_point(ctx: SolveContext, warm: PlateState, V: float) -> dict:
@@ -155,7 +152,7 @@ def _run_sweep_point(ctx: SolveContext, warm: PlateState, V: float) -> dict:
     status = "converged"
     try:
         u, report = minimize_Ek(u0, k, ctx)
-    except (StalledDescent, MaxIterations) as exc:
+    except DescentFailed as exc:
         u, report = exc.state, exc.report
         status = type(exc).__name__
     coin = check_coincidence_interval(u, ctx.p.H, constant_potential=ctx.family.constant_potential)
@@ -183,11 +180,7 @@ def _log_point(row: dict) -> None:
 
 def cmd_sweep(args) -> int:
     t_start = time.time()
-    try:
-        bundle = parse_config(args.config)
-    except ConfigError as exc:
-        log.error("config error: %s", exc)
-        return 2
+    bundle = parse_config(args.config)
     if args.vmin > args.vmax or args.steps < 1:
         log.error("need vmin <= vmax and steps >= 1")
         return 2
@@ -197,9 +190,9 @@ def cmd_sweep(args) -> int:
 
     rows = []
     if args.workers > 1:
-        payloads = [(args.config, float(V)) for V in volts]
+        bundles = [bundle.with_V(float(V)) for V in volts]
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_sweep_point, payloads))
+            rows = list(pool.map(_sweep_point, bundles))
         for row in rows:
             _log_point(row)
     else:
@@ -245,11 +238,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        bundle = parse_config(args.config)
-    except ConfigError as exc:
-        log.error("config error: %s", exc)
-        return 2
+    bundle = parse_config(args.config)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     ctx = _context_from_bundle(bundle)
@@ -303,7 +292,11 @@ def main(argv=None) -> int:
     p_verify.set_defaults(fn=cmd_verify)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        log.error("config error: %s", exc)
+        return 2
 
 
 if __name__ == "__main__":

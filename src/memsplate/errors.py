@@ -45,8 +45,8 @@ class InfeasiblePerturbation(MemsPlateError):
     """A perturbed state leaves the admissible set (or loses its strict gap)."""
 
 
-class StalledDescent(MemsPlateError):
-    """Backtracking hit its floor before the stationarity tolerance was met.
+class DescentFailed(MemsPlateError):
+    """The descent stopped short of the stationarity tolerance.
 
     Carries the last iterate and its report so callers can inspect/record it.
     """
@@ -57,13 +57,12 @@ class StalledDescent(MemsPlateError):
         self.report = report
 
 
-class MaxIterations(MemsPlateError):
-    """Outer iteration cap reached before convergence."""
+class StalledDescent(DescentFailed):
+    """Backtracking hit its floor before the stationarity tolerance was met."""
 
-    def __init__(self, message, state=None, report=None):
-        super().__init__(message)
-        self.state = state
-        self.report = report
+
+class MaxIterations(DescentFailed):
+    """Outer iteration cap reached before convergence."""
 
 
 class BoundViolated(MemsPlateError):

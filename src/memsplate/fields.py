@@ -516,7 +516,7 @@ class FieldSolver:
         z2 = -p.H + self.eta[:, None] * gm.gamma[None, :]
         h2 = f.h2(self.x[None, :], z2, ux[None, :])
         if np.any(gm.contact):
-            h2[:, gm.contact] = f.h1(self.x[gm.contact], -p.H, -p.H)[None, :]
+            h2[:, gm.contact] = f.h1(self.x[gm.contact], -p.H, -p.H)
         return 0.5 * self.form_value(h1, h2, gm)
 
 

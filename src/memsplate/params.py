@@ -129,9 +129,12 @@ def sigma_bar(p: PhysicalParams) -> float:
 class BoundaryDataFamily:
     """Dirichlet data h1 (layer) / h2 (gap) with closed-form first partials.
 
-    All callables take (x, z, w) and broadcast; w is the plate deflection at
-    the column being evaluated.  ``constant_potential`` records whether the
-    bottom electrode is grounded and the plate held at the fixed value V.
+    All callables take (x, z, w); w is the plate deflection at the column
+    being evaluated.  A result broadcasts against the inputs but need not have
+    their full shape: data that do not depend on x carry no x axis (the
+    builtin h1 of x (n,1,1), z (1,m,1), w (1,1,k) has shape (1,m,k)).
+    ``constant_potential`` records whether the bottom electrode is grounded
+    and the plate held at the fixed value V.
     """
 
     h1: Callable
@@ -151,14 +154,14 @@ class BoundaryDataFamily:
         return self.tag == "builtin-canonical"
 
 
-def _bcast(x, z, w):
-    return np.broadcast_arrays(np.asarray(x, float), np.asarray(z, float), np.asarray(w, float))
-
-
 def _transmission_family(
     p: PhysicalParams, v: Callable, dv: Callable, tag: str, constant_potential: bool
 ) -> BoundaryDataFamily:
-    """Transmission profile with plate potential v(x) and its derivative dv(x)."""
+    """Transmission profile with plate potential v(x) and its derivative dv(x).
+
+    v and dv receive x as given; numpy broadcasts the arithmetic, so denom(w)
+    runs on w's own shape.
+    """
     if not p.sigma1_is_constant:
         raise NonConstantPermittivity(
             "transmission-profile family needs constant sigma1; supply a family explicitly"
@@ -170,35 +173,27 @@ def _transmission_family(
         return s2 * d + s1 * (w + H)
 
     def h1(x, z, w):
-        x, z, w = _bcast(x, z, w)
         return v(x) * s2 * (z + H + d) / denom(w)
 
     def h2(x, z, w):
-        x, z, w = _bcast(x, z, w)
         return v(x) * (s1 * (z + H) + s2 * d) / denom(w)
 
     def dx_h1(x, z, w):
-        x, z, w = _bcast(x, z, w)
         return dv(x) * s2 * (z + H + d) / denom(w)
 
     def dz_h1(x, z, w):
-        x, z, w = _bcast(x, z, w)
         return v(x) * s2 / denom(w) + 0.0 * z
 
     def dw_h1(x, z, w):
-        x, z, w = _bcast(x, z, w)
         return -v(x) * s2 * s1 * (z + H + d) / denom(w) ** 2
 
     def dx_h2(x, z, w):
-        x, z, w = _bcast(x, z, w)
         return dv(x) * (s1 * (z + H) + s2 * d) / denom(w)
 
     def dz_h2(x, z, w):
-        x, z, w = _bcast(x, z, w)
         return v(x) * s1 / denom(w) + 0.0 * z
 
     def dw_h2(x, z, w):
-        x, z, w = _bcast(x, z, w)
         return -v(x) * s1 * (s1 * (z + H) + s2 * d) / denom(w) ** 2
 
     return BoundaryDataFamily(

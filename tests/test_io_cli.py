@@ -346,3 +346,21 @@ def test_log_level_env(tmp_path, monkeypatch):
     logging.getLogger().handlers.clear()
     _setup_logging()
     assert logging.getLogger().level == logging.DEBUG
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "sweep", "sweep-pooled"])
+def test_cli_uncertifiable_constants_exit_2(tmp_path, command, caplog):
+    # at V = 1e200 the trace bound K cannot be certified: derive_constants raises UnboundedGrowth
+    big = write_config(tmp_path, V=1e200)
+    out = str(tmp_path / "o")
+    if command == "solve":
+        argv = ["solve", "--config", big, "--out", out]
+    elif command == "verify":
+        state = tmp_path / "u.csv"
+        write_plate_csv(state, PlateState.constant(PlateGrid(16, 1.0), 0.0))
+        argv = ["verify", "--config", big, "--state", str(state), "--out", out]
+    else:
+        argv = ["sweep", "--config", write_config(tmp_path, V=0.0), "--vmin", "0", "--vmax", "1e200",
+                "--steps", "2", "--out", out, "--workers", "2" if command == "sweep-pooled" else "1"]
+    assert main(argv) == 2
+    assert "config error:" in caplog.text

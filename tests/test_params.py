@@ -262,8 +262,8 @@ def _assert_matches_reference(eval_on_w, w_lo, w_hi, label):
     return got
 
 
-@pytest.mark.parametrize("case", ["V0", "V1", "V3", "V11", "tau0.5", "varying"])
-def test_certified_max_matches_two_pass_reference(case, monkeypatch):
+def _device_case(case):
+    """(params, family) for a case id: "V<volts>", "tau0.5" (V=3) or "varying" (V=2)."""
     if case == "varying":
         p = PhysicalParams(V=2.0)
         f = build_varying_potential_family(
@@ -272,6 +272,12 @@ def test_certified_max_matches_two_pass_reference(case, monkeypatch):
     else:
         p = PhysicalParams(V=3.0, tau=0.5) if case == "tau0.5" else PhysicalParams(V=float(case[1:]))
         f = build_canonical_boundary_data(p)
+    return p, f
+
+
+@pytest.mark.parametrize("case", ["V0", "V1", "V3", "V11", "tau0.5", "varying"])
+def test_certified_max_matches_two_pass_reference(case, monkeypatch):
+    p, f = _device_case(case)
     calls = []
 
     def recording(eval_on_w, w_lo, w_hi, label):
@@ -321,3 +327,82 @@ def test_certified_max_raises_where_the_reference_raises():
         "hat 1.35x between coarse points", "pole next to the left end", "narrow spike",
         "a NaN sample", "overflow",
     }
+
+
+def _materialized_family(p, v, dv, x, z, w):
+    """The transmission profile evaluated on inputs broadcast to their full shape first."""
+    s1, s2, d, H = float(p.sigma1), p.sigma2, p.d, p.H
+
+    def denom(w):
+        return s2 * d + s1 * (w + H)
+
+    formulas = {
+        "h1": lambda x, z, w: v(x) * s2 * (z + H + d) / denom(w),
+        "h2": lambda x, z, w: v(x) * (s1 * (z + H) + s2 * d) / denom(w),
+        "dx_h1": lambda x, z, w: dv(x) * s2 * (z + H + d) / denom(w),
+        "dz_h1": lambda x, z, w: v(x) * s2 / denom(w) + 0.0 * z,
+        "dw_h1": lambda x, z, w: -v(x) * s2 * s1 * (z + H + d) / denom(w) ** 2,
+        "dx_h2": lambda x, z, w: dv(x) * (s1 * (z + H) + s2 * d) / denom(w),
+        "dz_h2": lambda x, z, w: v(x) * s1 / denom(w) + 0.0 * z,
+        "dw_h2": lambda x, z, w: -v(x) * s1 * (s1 * (z + H) + s2 * d) / denom(w) ** 2,
+    }
+    x, z, w = np.broadcast_arrays(np.asarray(x, float), np.asarray(z, float), np.asarray(w, float))
+    return {name: fn(x, z, w) for name, fn in formulas.items()}
+
+
+def _shape_samples(p, n=9, m=7, k=11):
+    x = np.linspace(-p.L, p.L, n)[:, None, None]
+    z = np.linspace(-p.H - p.d, 2.0, m)[None, :, None]
+    w = np.linspace(-p.H, 3.0 * p.H, k)[None, None, :]
+    return x, z, w
+
+
+@pytest.mark.parametrize(
+    "p",
+    [PhysicalParams(V=2.0), PhysicalParams(V=11.0, sigma1=2.5, sigma2=0.7, d=0.3, H=1.7, L=0.8)],
+    ids=["unit", "scaled"],
+)
+def test_builtin_family_carries_no_x_axis(p):
+    f = build_canonical_boundary_data(p)
+    x, z, w = _shape_samples(p)
+    reference = _materialized_family(p, lambda x: p.V, lambda x: 0.0, x, z, w)
+    for name, ref in reference.items():
+        got = getattr(f, name)(x, z, w)
+        assert np.shape(got) == (1, z.shape[1], w.shape[2]), name
+        assert np.array_equal(np.broadcast_to(got, ref.shape), ref), name
+
+
+def test_varying_family_keeps_full_shape():
+    p = PhysicalParams(V=2.0)
+
+    def v(x):
+        return p.V * (1.0 + 0.3 * np.sin(np.pi * x))
+
+    def dv(x):
+        return p.V * 0.3 * np.pi * np.cos(np.pi * x)
+
+    f = build_varying_potential_family(p, v, dv)
+    x, z, w = _shape_samples(p)
+    reference = _materialized_family(p, v, dv, x, z, w)
+    for name, ref in reference.items():
+        got = getattr(f, name)(x, z, w)
+        assert got.shape == ref.shape == (x.shape[0], z.shape[1], w.shape[2]), name
+        assert np.array_equal(got, ref), name
+
+
+# derive_constants(...).as_dict() recorded when the family still broadcast its inputs
+# to the full (x, z, w) block, as float.hex strings
+_GOLDEN_CONSTANTS = {
+    "V0": {"sigma_bar": "0x1.0000000000000p+0", "m1": "0x1.19799812dea11p-40", "m2": "0x1.19799812dea11p-40", "m3": "0x1.19799812dea11p-40", "K": "0x1.19799812dea11p-40", "G0": "0x1.357c299a88ea7p-80", "A": "0x1.a636641c505cap-36", "kappa0": "0x1.9000000000000p+4", "w_max": "0x1.9000000000000p+5", "eps_m": "0x1.19799812dea11p-40"},
+    "V2": {"sigma_bar": "0x1.0000000000000p+0", "m1": "0x1.0cccccccccccdp+2", "m2": "0x1.19799812dea11p-40", "m3": "0x1.0cccccccccccdp+2", "K": "0x1.19799812dea11p-40", "G0": "0x1.357c299a88ea7p-80", "A": "0x1.1a3d70a3d7177p+9", "kappa0": "0x1.9000000000000p+4", "w_max": "0x1.9000000000000p+5", "eps_m": "0x1.19799812dea11p-40"},
+    "V11": {"sigma_bar": "0x1.0000000000000p+0", "m1": "0x1.fc33333333334p+6", "m2": "0x1.19799812dea11p-40", "m3": "0x1.fc33333333334p+6", "K": "0x1.19799812dea11p-40", "G0": "0x1.357c299a88ea7p-80", "A": "0x1.f86d9eb851ebap+18", "kappa0": "0x1.9000000000000p+4", "w_max": "0x1.9000000000000p+5", "eps_m": "0x1.19799812dea11p-40"},
+    "tau0.5": {"sigma_bar": "0x1.0000000000000p+0", "m1": "0x1.2e66666666667p+3", "m2": "0x1.19799812dea11p-40", "m3": "0x1.2e66666666667p+3", "K": "0x1.19799812dea11p-40", "G0": "0x1.357c299a88ea7p-80", "A": "0x1.6535c28f5c2c6p+11", "kappa0": "0x1.4400000000000p+6", "w_max": "0x1.4400000000000p+7", "eps_m": "0x1.19799812dea11p-40"},
+    "varying": {"sigma_bar": "0x1.0000000000000p+0", "m1": "0x1.4ce8209cb80b2p+9", "m2": "0x1.19799812dea11p-40", "m3": "0x1.c645a1cac0832p+2", "K": "0x1.faad1279d94fdp+0", "G0": "0x1.f5685105d48a5p+1", "A": "0x1.930d8665e0356p+10", "kappa0": "0x1.5eb42882ea452p+6", "w_max": "0x1.5eb42882ea452p+7", "eps_m": "0x1.19799812dea11p-40"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_CONSTANTS))
+def test_derived_constants_golden(case):
+    p, f = _device_case(case)
+    expected = {name: float.fromhex(h) for name, h in _GOLDEN_CONSTANTS[case].items()}
+    assert derive_constants(p, f).as_dict() == expected
