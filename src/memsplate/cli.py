@@ -41,6 +41,7 @@ from .io_files import (
     write_trajectory,
 )
 from .minimize import EnergyReport, SolveContext, continuation_pipeline, make_context, minimize_Ek
+from .params import DerivedConstants, build_canonical_boundary_data, derive_constants
 from .verify import check_coincidence_interval, run_suite
 
 log = logging.getLogger("memsplate")
@@ -55,17 +56,24 @@ def _setup_logging():
     )
 
 
-def _context_from_bundle(bundle: ConfigBundle) -> SolveContext:
-    """The solve context of a config; constants that cannot be certified are a config error."""
+def _constants_of(bundle: ConfigBundle) -> DerivedConstants:
+    """The certified constants of a config; constants that cannot be certified are a config error."""
+    p = bundle.params
     try:
-        return make_context(
-            bundle.params,
-            n_elems=bundle.n_elems,
-            field_grid=bundle.field_grid,
-            settings=bundle.settings,
-        )
+        return derive_constants(p, build_canonical_boundary_data(p))
     except (UnboundedGrowth, AssumptionViolated) as exc:
-        raise ConfigError(f"V={bundle.params.V:g}: {exc}") from exc
+        raise ConfigError(f"V={p.V:g}: {exc}") from exc
+
+
+def _context_from_bundle(bundle: ConfigBundle, constants: DerivedConstants = None) -> SolveContext:
+    """The solve context of a config, with its constants if they are already derived."""
+    return make_context(
+        bundle.params,
+        constants=constants if constants is not None else _constants_of(bundle),
+        n_elems=bundle.n_elems,
+        field_grid=bundle.field_grid,
+        settings=bundle.settings,
+    )
 
 
 def _manifest(bundle: ConfigBundle, ctx: SolveContext, outdir: Path, files: list, timings: dict) -> dict:
@@ -141,9 +149,9 @@ def cmd_solve(args) -> int:
     return 0 if cert_ok else 4
 
 
-def _sweep_point(bundle: ConfigBundle) -> dict:
+def _sweep_point(bundle: ConfigBundle, constants: DerivedConstants) -> dict:
     """One sweep voltage, cold-started (used by the process pool)."""
-    return _run_sweep_point(_context_from_bundle(bundle), None, bundle.params.V)
+    return _run_sweep_point(_context_from_bundle(bundle, constants), None, bundle.params.V)
 
 
 def _run_sweep_point(ctx: SolveContext, warm: PlateState, V: float) -> dict:
@@ -186,20 +194,24 @@ def cmd_sweep(args) -> int:
         return 2
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    volts = np.linspace(args.vmin, args.vmax, args.steps)
+    bundles = [bundle.with_V(float(V)) for V in np.linspace(args.vmin, args.vmax, args.steps)]
+    # every point's constants before the first solve: a point that cannot be
+    # certified fails the sweep before any work is spent
+    constants = [_constants_of(b) for b in bundles]
 
     rows = []
     if args.workers > 1:
-        bundles = [bundle.with_V(float(V)) for V in volts]
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_sweep_point, bundles))
+            rows = list(pool.map(_sweep_point, bundles, constants))
         for row in rows:
             _log_point(row)
+        # the device grids do not depend on V: the top point's context serves the point files
+        ctx = _context_from_bundle(bundles[-1], constants[-1])
     else:
         warm = None
-        for V in volts:
-            ctx = _context_from_bundle(bundle.with_V(float(V)))
-            row = _run_sweep_point(ctx, warm, float(V))
+        for b, c in zip(bundles, constants):
+            ctx = _context_from_bundle(b, c)
+            row = _run_sweep_point(ctx, warm, b.params.V)
             warm = PlateState(ctx.plate, np.array(row["dofs"]))
             rows.append(row)
             _log_point(row)
@@ -221,8 +233,6 @@ def cmd_sweep(args) -> int:
             ])
     files.append("sweep.csv")
 
-    # the device grids do not depend on V: one context serves the point files and the manifest
-    ctx = _context_from_bundle(bundle)
     for row in rows:
         sub = outdir / f"V_{row['V']:.6g}"
         sub.mkdir(exist_ok=True)
@@ -230,7 +240,9 @@ def cmd_sweep(args) -> int:
         write_json(sub / "point.json", {k: v for k, v in row.items() if k != "dofs"})
 
     timings = {"total_s": time.time() - t_start}
-    write_json(outdir / "manifest.json", _manifest(bundle, ctx, outdir, files, timings))
+    manifest = _manifest(bundle, ctx, outdir, files, timings)
+    manifest["constants"] = [{"V": b.params.V, **c.as_dict()} for b, c in zip(bundles, constants)]
+    write_json(outdir / "manifest.json", manifest)
 
     n_fail = sum(1 for r in rows if r["status"] != "converged")
     log.info("sweep finished: %d/%d points converged", len(rows) - n_fail, len(rows))

@@ -29,12 +29,8 @@ class LinearSolveFailed(MemsPlateError):
     """Linear solver did not reach the requested residual within its iteration cap."""
 
 
-class DegenerateGap(MemsPlateError):
-    """A column marked non-contact has a gap below the masking threshold (internal inconsistency)."""
-
-
 class MissingTrace(MemsPlateError):
-    """Potential field lacks the trace required by a node's force branch."""
+    """Potential field has no trace at a plate node (its columns miss the node)."""
 
 
 class NonCanonicalFamily(MemsPlateError):

@@ -15,10 +15,13 @@ tensor grids (a second-order nine-point stencil); sharing the interface row
 makes the discrete operator symmetric and balances the normal flux
 sigma dz(psi) across the interface to the order of the scheme.
 
-Columns whose gap falls below the contact threshold are removed from the
-gap domain: their nodes take the pinch Dirichlet value h(x, -H, -H), and gap
-elements touching them are dropped, so disconnected gap components decouple
-naturally.
+The plate height is floored at the contact threshold eps: the field sees
+w(u) = u down to -H + 2 eps and below that a C2 blend reaching eps - H at
+u = -H (``_floored``), so every gap column keeps a height gamma = w + H >= eps
+and stays in the domain.  On the layer w' = 0 and the field energy does not
+depend on u.  The discrete energy is twice differentiable through touchdown,
+and its exact derivative is the shape gradient below.  Columns within eps of
+the layer are reported as contact and otherwise treated like every other column.
 """
 
 from __future__ import annotations
@@ -29,12 +32,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DegenerateGap, LinearSolveFailed
+from .errors import LinearSolveFailed
 from .hermite import PlateState, shape_functions
 from .params import BoundaryDataFamily, PhysicalParams
 
 __all__ = [
-    "Factor",
     "FieldGrid",
     "GapMap",
     "PotentialField",
@@ -49,8 +51,22 @@ _GW = np.array([0.5, 0.5])
 
 
 def contact_threshold(plate_h: float, H: float) -> float:
-    """Gap height below which a column counts as touching the layer."""
+    """Gap height at which a column counts as touching the layer; the floor of every gap."""
     return max(1e-9, plate_h**2) * H
+
+
+def _floored(u: np.ndarray, floor: float, band: float):
+    """Plate heights floored at ``floor``, rounded to C2 over ``floor -+ band``: w, w', w''.
+
+    w = u bit for bit at and above floor + band, floor at and below floor - band,
+    and between the quartic floor + band (s + 1)^3 (3 - s) / 16, s = (u - floor) / band.
+    """
+    s = np.clip((u - floor) / band, -1.0, 1.0)
+    above = u >= floor + band
+    w = np.where(above, u, floor + band * (s + 1.0) ** 3 * (3.0 - s) / 16.0)
+    dw = np.where(above, 1.0, (s + 1.0) ** 2 * (2.0 - s) / 4.0)
+    d2w = np.where(above, 0.0, 0.75 * (1.0 - s * s) / band)
+    return w, dw, d2w
 
 
 def _q1_tables():
@@ -114,21 +130,16 @@ class GapMap:
     """Gap geometry of one plate state, per column and at the quadrature points."""
 
     x: np.ndarray            # field column coordinates
-    gamma: np.ndarray        # gap height u + H per column
-    dgamma: np.ndarray       # slope u' per column
-    contact: np.ndarray      # boolean mask, True where gamma <= eps_contact
+    w: np.ndarray            # floored plate height w(u) >= eps_contact - H per column
+    gamma: np.ndarray        # gap height w + H per column
+    dgamma: np.ndarray       # slope w' = w'(u) u' per column
+    contact: np.ndarray      # boolean mask, True where u + H <= eps_contact (reported only)
     eps_contact: float
-    elems: np.ndarray        # indices of the x-elements kept in the gap domain
-    gamma_q: np.ndarray      # u + H at the two x-Gauss points of each kept element (nkx, 2)
-    dgamma_q: np.ndarray     # u' at the same points
-
-
-@dataclass(frozen=True)
-class Factor:
-    """SuperLU factor of the free-node block of one operator, with its free-node mask."""
-
-    free: np.ndarray
-    lu: object
+    gamma_q: np.ndarray      # w + H at the two x-Gauss points of each element (n_x, 2)
+    dgamma_q: np.ndarray     # w' at the same points
+    du_q: np.ndarray         # u' at the same points
+    dw_q: np.ndarray         # dw/du at the same points: 1 above the floor's band, 0 below
+    d2w_q: np.ndarray        # d2w/du2 at the same points
 
 
 @dataclass
@@ -139,16 +150,16 @@ class PotentialField:
     z1: np.ndarray           # physical layer levels, bottom to interface
     eta: np.ndarray          # reference gap levels, interface (0) to plate (1)
     psi1: np.ndarray         # (n_z1+1, n_x+1)
-    psi2: np.ndarray         # (n_z2+1, n_x+1); contact columns hold the pinch value
+    psi2: np.ndarray         # (n_z2+1, n_x+1)
     gap: GapMap
     interface_flux: np.ndarray       # sigma1 * dz(psi1) at z = -H, per column
-    interface_flux_gap: np.ndarray   # sigma2 * dz(psi2) at z = -H (NaN at contact)
-    top_trace_dz: np.ndarray         # dz(psi2) at the plate (NaN at contact)
+    interface_flux_gap: np.ndarray   # sigma2 * dz(psi2) at z = -H
+    top_trace_dz: np.ndarray         # dz(psi2) at the plate
     bottom_trace_dz1: np.ndarray     # dz(psi1) at z = -H, per column
     boundary_inf: float
     boundary_sup: float
     residual: float                  # ||A x - b|| of the free-node solve
-    factor: Factor = None            # the factor the solve used, for reuse on a nearby state
+    factor: object = None            # SuperLU factor of the free block, for reuse on a nearby state
 
     @property
     def contact_mask(self) -> np.ndarray:
@@ -244,9 +255,9 @@ class FieldSolver:
         c11 = idx[1:, 1:].ravel()
         return np.stack([c00, c10, c01, c11], axis=1)
 
-    def _gap_corners(self, arr: np.ndarray, gm: GapMap) -> np.ndarray:
-        """Corner entries of a gap-grid array for the kept gap elements, basis-ordered."""
-        return arr.ravel()[self._conn2[:, gm.elems].reshape(-1, 4)]
+    def _gap_corners(self, arr: np.ndarray) -> np.ndarray:
+        """Corner entries of a gap-grid array for every gap element, basis-ordered."""
+        return arr.ravel()[self._conn2.reshape(-1, 4)]
 
     def _assemble_layer(self) -> np.ndarray:
         """Packed element matrices of the (state-independent) layer block, (n_z1, n_x, 10)."""
@@ -263,32 +274,23 @@ class FieldSolver:
         return vals[:, _UPPER[0], _UPPER[1]].reshape(shape)
 
     def _gap_coeffs(self, gm: GapMap):
-        """gamma and -eta gamma' at the Gauss points of the kept gap elements, as [jz, kx, qz, qx]."""
-        g4 = np.broadcast_to(gm.gamma_q[None, :, None, :], (self.grid.n_z2, len(gm.elems), 2, 2))
+        """gamma and -eta gamma' at the Gauss points of the gap elements, as [jz, kx, qz, qx]."""
+        g4 = np.broadcast_to(gm.gamma_q[None, :, None, :], (self.grid.n_z2, self.grid.n_x, 2, 2))
         b4 = -self._etaq[:, None, :, None] * gm.dgamma_q[None, :, None, :]
         return g4, b4
 
     def _assemble_gap(self, gm: GapMap) -> np.ndarray:
-        """Packed element matrices of the gap block of one state, (n_z2, n_x, 10).
-
-        Elements dropped at contact stay zero.
-        """
-        if np.any(~gm.contact & (gm.gamma < gm.eps_contact / 2.0)):
-            raise DegenerateGap("non-contact column with gap below eps_contact/2")
-        nz2, nkx = self.grid.n_z2, len(gm.elems)
-        ke = np.zeros((nz2, self.grid.n_x, 10))
-        if nkx:
-            # gamma, gamma' vary along x only and eta along z only; with
-            # (1 + (eta gamma')^2) / gamma = 1 / gamma + eta^2 gamma'^2 / gamma an
-            # element matrix is a per-column table plus eta and eta^2 times
-            # per-column tables, summed over the vertical Gauss points
-            g, dg = gm.gamma_q, gm.dgamma_q                                # [kx, qx]
-            kg, kb, kc = self._gap_kernel                                  # [qz, qx, entry]
-            kept = g @ kg.sum(axis=0) + (1.0 / g) @ kc.sum(axis=0)        # [kx, entry]
-            for qz in range(2):
-                eta = self._etaq[:, qz, None, None]                        # [jz]
-                kept = kept + eta * (-dg @ kb[qz]) + eta**2 * ((dg**2 / g) @ kc[qz])
-            ke[:, gm.elems] = kept
+        """Packed element matrices of the gap block of one state, (n_z2, n_x, 10)."""
+        # gamma, gamma' vary along x only and eta along z only; with
+        # (1 + (eta gamma')^2) / gamma = 1 / gamma + eta^2 gamma'^2 / gamma an
+        # element matrix is a per-column table plus eta and eta^2 times
+        # per-column tables, summed over the vertical Gauss points
+        g, dg = gm.gamma_q, gm.dgamma_q                                # [kx, qx]
+        kg, kb, kc = self._gap_kernel                                  # [qz, qx, entry]
+        ke = g @ kg.sum(axis=0) + (1.0 / g) @ kc.sum(axis=0)          # [kx, entry]
+        for qz in range(2):
+            eta = self._etaq[:, qz, None, None]                        # [jz]
+            ke = ke + eta * (-dg @ kb[qz]) + eta**2 * ((dg**2 / g) @ kc[qz])
         return ke
 
     def _operator(self, gm: GapMap) -> sp.csr_matrix:
@@ -302,75 +304,53 @@ class FieldSolver:
     # -- per-state geometry -------------------------------------------------
 
     def gap_map(self, u: PlateState) -> GapMap:
-        """Contact mask and gap coefficients of one state, computed once for all uses."""
+        """Floored plate height and gap coefficients of one state, computed once for all uses."""
         p = self.p
         if u.values.min() < -p.H - 1e-12 * max(1.0, p.H):
             raise ValueError("plate state is infeasible: u < -H at a node")
         eps = contact_threshold(u.grid.h, p.H)
-        gamma = u(self.x) + p.H
-        dgamma = u(self.x, deriv=1)
-        if not np.all(np.isfinite(gamma)):
+        ux = u(self.x)
+        if not np.all(np.isfinite(ux)):
             raise ValueError("non-finite gap heights")
-        contact = gamma <= eps
-        gamma = np.maximum(gamma, 0.0)
-        # a gap component must span at least one full element: columns whose
-        # both neighbors are excluded would leave orphaned unknowns, so they
-        # are folded into the excluded set (iterate: folding can cascade)
-        while True:
-            keep = ~contact
-            elem_kept = keep[:-1] & keep[1:]
-            left = np.concatenate(([False], elem_kept))
-            right = np.concatenate((elem_kept, [False]))
-            orphan = keep & ~(left | right)
-            if not np.any(orphan):
-                break
-            contact = contact | orphan
-        elems = np.nonzero(elem_kept)[0]
-        # interpolate the gap honestly from the plate state at Gauss abscissae
-        xq = self._xq[elems].ravel()
+        w, dw, _ = _floored(ux, eps - p.H, eps)
+        xq = self._xq.ravel()
+        wq, dwq, d2wq = _floored(u(xq).reshape(-1, 2), eps - p.H, eps)
+        duq = u(xq, deriv=1).reshape(-1, 2)
         return GapMap(
-            self.x.copy(), gamma, dgamma, contact, eps, elems,
-            (u(xq) + p.H).reshape(-1, 2), u(xq, deriv=1).reshape(-1, 2),
+            self.x.copy(), w, w + p.H, dw * u(self.x, deriv=1), ux + p.H <= eps, eps,
+            wq + p.H, dwq * duq, duq, dwq, d2wq,
         )
 
-    def _dirichlet(self, u: PlateState, gm: GapMap):
-        """Boolean mask and values of all pinned nodes."""
+    def _dirichlet(self, gm: GapMap):
+        """Boolean mask and values of all pinned nodes; the mask is the same for every state."""
         p, f = self.p, self.family
         nx = self.grid.n_x
         mask = np.zeros(self.n_nodes, bool)
         vals = np.zeros(self.n_nodes)
-        ux = u(self.x)
+        w = gm.w
 
         def pin(ids, v):
             mask[ids] = True
             vals[ids] = v
 
         # grounded electrode
-        pin(self.idx1[0], f.h1(self.x, -p.H - p.d, ux))
+        pin(self.idx1[0], f.h1(self.x, -p.H - p.d, w))
         # side walls, both regions
         for i in (0, nx):
-            pin(self.idx1[:, i], f.h1(self.x[i], self.z1, ux[i]))
-            if not gm.contact[i]:
-                z2 = -p.H + self.eta * gm.gamma[i]
-                pin(self.idx2[:, i], f.h2(self.x[i], z2, ux[i]))
+            pin(self.idx1[:, i], f.h1(self.x[i], self.z1, w[i]))
+            pin(self.idx2[:, i], f.h2(self.x[i], -p.H + self.eta * gm.gamma[i], w[i]))
         # plate row
-        noncontact = ~gm.contact
-        pin(self.idx2[-1, noncontact], f.h2(self.x[noncontact], ux[noncontact], ux[noncontact]))
-        # contact columns: the whole mapped column collapses to the pinch point
-        if np.any(gm.contact):
-            pv = f.h1(self.x[gm.contact], -p.H, -p.H)
-            for j in range(self.idx2.shape[0]):
-                pin(self.idx2[j, gm.contact], pv)
+        pin(self.idx2[-1], f.h2(self.x, w, w))
         return mask, vals
 
     # -- solve ---------------------------------------------------------------
 
-    def solve(self, u: PlateState, factor: Factor = None) -> PotentialField:
+    def solve(self, u: PlateState, factor=None) -> PotentialField:
         """Solve the transmission problem for one plate state.
 
-        Given the ``factor`` of an earlier solve whose free nodes are this
-        state's, the free block is solved by CG preconditioned with that
-        factor.  Without one, or when CG misses ``tol_lin`` within
+        Given the ``factor`` of an earlier solve (the free nodes are the same
+        for every state), the free block is solved by CG preconditioned with
+        that factor.  Without one, or when CG misses ``tol_lin`` within
         ``_PCG_MAXIT`` iterations, the block is factored afresh.  The returned
         field carries the factor that was used.
         """
@@ -379,7 +359,7 @@ class FieldSolver:
         gm = self.gap_map(u)
         A = self._operator(gm)
 
-        mask, gvals = self._dirichlet(u, gm)
+        mask, gvals = self._dirichlet(gm)
         free = ~mask
         full = gvals.copy()
 
@@ -391,17 +371,17 @@ class FieldSolver:
             res = 0.0
         else:
             x = None
-            if factor is not None and np.array_equal(factor.free, free):
-                pre = spla.LinearOperator(Aff.shape, matvec=factor.lu.solve)
+            if factor is not None:
+                pre = spla.LinearOperator(Aff.shape, matvec=factor.solve)
                 x, info = spla.cg(Aff, rhs, rtol=self.tol_lin, maxiter=_PCG_MAXIT, M=pre)
                 res = float(np.linalg.norm(Aff @ x - rhs))
                 if info != 0 or not res <= self.tol_lin * rhs_norm:
                     x = None
             if x is None:
-                factor = Factor(free, spla.splu(
+                factor = spla.splu(
                     Aff.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
-                ))
-                x = factor.lu.solve(rhs)
+                )
+                x = factor.solve(rhs)
                 res = float(np.linalg.norm(Aff @ x - rhs))
             if not np.isfinite(res) or res > max(10.0 * self.tol_lin, 1e-8) * rhs_norm:
                 raise LinearSolveFailed(f"linear solve residual {res:.3e} vs rhs {rhs_norm:.3e}")
@@ -417,11 +397,8 @@ class FieldSolver:
         hz1, he = self.hz1, self.heta
         d1 = (3.0 * psi1[-1] - 4.0 * psi1[-2] + psi1[-3]) / (2.0 * hz1)
         s1_if = self.p.sigma1_at(self.x, np.full_like(self.x, -p.H))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dtop = (3.0 * psi2[-1] - 4.0 * psi2[-2] + psi2[-3]) / (2.0 * he * gm.gamma)
-            dbot2 = (-3.0 * psi2[0] + 4.0 * psi2[1] - psi2[2]) / (2.0 * he * gm.gamma)
-        dtop[gm.contact] = np.nan
-        dbot2[gm.contact] = np.nan
+        dtop = (3.0 * psi2[-1] - 4.0 * psi2[-2] + psi2[-3]) / (2.0 * he * gm.gamma)
+        dbot2 = (-3.0 * psi2[0] + 4.0 * psi2[1] - psi2[2]) / (2.0 * he * gm.gamma)
         return PotentialField(
             x=self.x.copy(), z1=self.z1.copy(), eta=self.eta.copy(),
             psi1=psi1, psi2=psi2, gap=gm,
@@ -448,13 +425,12 @@ class FieldSolver:
         total = float(np.sum(self._sigma1_q * (gx**2 + gz**2) * _W) * hx * hz)
 
         # gap
-        if len(gm.elems):
-            g4, b4 = (a.reshape(-1, 4) for a in self._gap_coeffs(gm))
-            e2 = self._gap_corners(psi2, gm)
-            gx = e2 @ _NXI / hx
-            ge = e2 @ _NZE / he
-            dens = g4 * gx**2 + 2.0 * b4 * gx * ge + (1.0 + b4**2) / g4 * ge**2
-            total += float(p.sigma2 * np.sum(dens * _W) * hx * he)
+        g4, b4 = (a.reshape(-1, 4) for a in self._gap_coeffs(gm))
+        e2 = self._gap_corners(psi2)
+        gx = e2 @ _NXI / hx
+        ge = e2 @ _NZE / he
+        dens = g4 * gx**2 + 2.0 * b4 * gx * ge + (1.0 + b4**2) / g4 * ge**2
+        total += float(p.sigma2 * np.sum(dens * _W) * hx * he)
         return total
 
     def electrostatic_energy(self, pf: PotentialField) -> float:
@@ -465,41 +441,37 @@ class FieldSolver:
         """Exact gradient of the discrete field energy w.r.t. the plate DOFs.
 
         Differentiates the mapped-gap quadratic form through its geometry
-        coefficients (gamma, gamma') at the quadrature points; for
-        constant-potential data the Dirichlet values carry no u-dependence,
-        so the geometric term is the whole gradient (away from contact-mask
-        switches, which are handled by the caller's line search).  Gives the
-        descent a direction consistent with the energy to machine precision,
+        coefficients (gamma, gamma') at the quadrature points, through the
+        floor's w(u) (on the layer they do not move with u).  The
+        Dirichlet values do not move with u for any family built here: the
+        plate row holds h2(x, w, w) = v(x), the ends are clamped at u = 0 and
+        the electrode is grounded.  So the geometric term is the whole
+        gradient, and it is consistent with the energy to machine precision,
         where the trace-formula force is consistent only to the order of the
         scheme.
         """
-        if not self.family.constant_potential:
-            raise NotImplementedError(
-                "discrete shape gradient assumes u-independent Dirichlet data"
-            )
         p, hx, he = self.p, self.hx, self.heta
-        nz2 = self.grid.n_z2
+        nz2, nx = self.grid.n_z2, self.grid.n_x
         grad = np.zeros(u.grid.n_dofs)
         gm = pf.gap
-        ix = gm.elems
-        if not len(ix):
-            return grad
-        xq = self._xq[ix]                                         # (nkx, 2)
         g4, b4 = self._gap_coeffs(gm)
 
-        e2 = self._gap_corners(pf.psi2, gm)
-        px = (e2 @ _NXI / hx).reshape(nz2, len(ix), 2, 2)         # [jz, kx, qz, qx]
-        pe = (e2 @ _NZE / he).reshape(nz2, len(ix), 2, 2)
+        e2 = self._gap_corners(pf.psi2)
+        px = (e2 @ _NXI / hx).reshape(nz2, nx, 2, 2)              # [jz, kx, qz, qx]
+        pe = (e2 @ _NZE / he).reshape(nz2, nx, 2, 2)
         dI_dg = px**2 - (1.0 + b4**2) / g4**2 * pe**2
         dI_db = 2.0 * px * pe + 2.0 * b4 / g4 * pe**2
         W4 = _W.reshape(2, 2)[None, None, :, :]
         fac = -0.5 * p.sigma2 * hx * he
         # accumulate the vertical direction; leaves weights per x Gauss point
-        Wg = fac * np.sum(dI_dg * W4, axis=(0, 2))                # (nkx, 2)
-        Wb = fac * np.sum(dI_db * -self._etaq[:, None, :, None] * W4, axis=(0, 2))  # (nkx, 2)
+        Wg = fac * np.sum(dI_dg * W4, axis=(0, 2))                                       # (nx, 2)
+        Wb = fac * np.sum(dI_db * -self._etaq[:, None, :, None] * W4, axis=(0, 2))
+        # chain rule through the floor, gamma = w(u) + H and gamma' = w'(u) u'; above
+        # the floor's band w' = 1, w'' = 0 and both weights keep their bits
+        Wg, Wb = Wg * gm.dw_q + Wb * (gm.d2w_q * gm.du_q), Wb * gm.dw_q
 
         # scatter onto the Hermite plate basis at the x Gauss points
-        e_p, xi = u.grid.locate(xq.ravel())
+        e_p, xi = u.grid.locate(self._xq.ravel())
         N0 = shape_functions(xi, u.grid.h, 0)
         N1 = shape_functions(xi, u.grid.h, 1)
         # conn[e_p].T adds shape by shape over all Gauss points; np.add.at keeps that
@@ -511,12 +483,9 @@ class FieldSolver:
         """Dirichlet form of the interpolated boundary data h_u (an upper bound witness)."""
         p, f = self.p, self.family
         gm = self.gap_map(u)
-        ux = u(self.x)
-        h1 = f.h1(self.x[None, :], self.z1[:, None], ux[None, :])
+        h1 = f.h1(self.x[None, :], self.z1[:, None], gm.w[None, :])
         z2 = -p.H + self.eta[:, None] * gm.gamma[None, :]
-        h2 = f.h2(self.x[None, :], z2, ux[None, :])
-        if np.any(gm.contact):
-            h2[:, gm.contact] = f.h1(self.x[gm.contact], -p.H, -p.H)
+        h2 = f.h2(self.x[None, :], z2, gm.w[None, :])
         return 0.5 * self.form_value(h1, h2, gm)
 
 
@@ -524,11 +493,8 @@ def check_max_principle(pf: PotentialField, tol: float = None, tol_lin: float = 
     """Interior potential must stay between the boundary data extremes."""
     if tol is None:
         tol = 1e-8 + tol_lin
-    vals = [pf.psi1.min(), pf.psi1.max()]
-    keep = ~pf.gap.contact
-    if np.any(keep):
-        vals += [pf.psi2[:, keep].min(), pf.psi2[:, keep].max()]
-    lo, hi = float(min(vals)), float(max(vals))
+    lo = float(min(pf.psi1.min(), pf.psi2.min()))
+    hi = float(max(pf.psi1.max(), pf.psi2.max()))
     ok = (lo >= pf.boundary_inf - tol) and (hi <= pf.boundary_sup + tol)
     return {
         "psi_min": lo,

@@ -1,10 +1,11 @@
 """Electrostatic force on the plate from the solved potential.
 
-Away from contact the force density at a plate node combines the vertical
-trace derivative of the gap potential on the deformed plate with the
-boundary-data partials there; on the contact set the layer-side trace at the
-interface takes over.  For constant-potential data the correction terms
-vanish identically and the force is the nonnegative square term alone.
+The force density at a plate node combines the vertical trace derivative of
+the gap potential on the plate with the boundary-data partials there, both at
+the floored plate height w of the field (see ``fields``): on the contact set
+the gap is eps to 1.2 eps thin and the same formula applies.  For constant-potential
+data the correction terms vanish identically and the force is the
+nonnegative square term alone.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ __all__ = [
 
 @dataclass
 class ForceProfile:
-    """Nodal force density with the branch of every node."""
+    """Nodal force density with the contact tag of every node."""
 
     x: np.ndarray
     values: np.ndarray          # g at plate nodes
     frak_g: np.ndarray          # square term alone
-    contact: np.ndarray         # branch tag per node (True = contact)
+    contact: np.ndarray         # True where the node's gap is at most eps (reported only)
 
 
 def compute_force(
@@ -51,38 +52,16 @@ def compute_force(
     cols = stride * np.arange(u.grid.n_nodes)
 
     xs = pf.x[cols]
-    contact = pf.gap.contact[cols]
-    vals = u.values
-    slopes = u.slopes
+    gm = pf.gap
+    w = gm.w[cols]
+    tr = pf.top_trace_dz[cols]
+    hz = family.dz_h2(xs, w, w)
+    hw = family.dw_h2(xs, w, w)
+    hx = family.dx_h2(xs, w, w)
     s2 = p.sigma2
-
-    g = np.empty_like(xs)
-    frak = np.empty_like(xs)
-
-    non = ~contact
-    if np.any(non):
-        tr = pf.top_trace_dz[cols[non]]
-        if np.any(~np.isfinite(tr)):
-            raise MissingTrace("plate-side trace missing at a non-contact node")
-        w = vals[non]
-        hz = family.dz_h2(xs[non], w, w)
-        hw = family.dw_h2(xs[non], w, w)
-        hx = family.dx_h2(xs[non], w, w)
-        frak[non] = 0.5 * s2 * (1.0 + slopes[non] ** 2) * (tr - hz - hw) ** 2
-        g[non] = frak[non] - 0.5 * s2 * (hx**2 + (hz + hw) ** 2)
-    if np.any(contact):
-        tr1 = pf.bottom_trace_dz1[cols[contact]]
-        if np.any(~np.isfinite(tr1)):
-            raise MissingTrace("layer-side trace missing at a contact node")
-        xc = xs[contact]
-        s1 = p.sigma1_at(xc, np.full_like(xc, -p.H))
-        hz = family.dz_h2(xc, -p.H, -p.H)
-        hw = family.dw_h2(xc, -p.H, -p.H)
-        hx = family.dx_h2(xc, -p.H, -p.H)
-        frak[contact] = 0.5 * s2 * ((s1 / s2) * tr1 - hz - hw) ** 2
-        g[contact] = frak[contact] - 0.5 * s2 * (hx**2 + (hz + hw) ** 2)
-
-    return ForceProfile(xs, g, frak, contact)
+    frak = 0.5 * s2 * (1.0 + gm.dgamma[cols] ** 2) * (tr - hz - hw) ** 2
+    g = frak - 0.5 * s2 * (hx**2 + (hz + hw) ** 2)
+    return ForceProfile(xs, g, frak, gm.contact[cols])
 
 
 def force_analytic_flat(c: float, family: BoundaryDataFamily, p: PhysicalParams) -> float:
@@ -115,8 +94,9 @@ def directional_derivative_check(
 ) -> dict:
     """Compare difference quotients of the field energy with the force pairing.
 
-    Requires a strict gap along the whole tested segment so that no branch
-    switch pollutes the quotient.
+    Requires a strict gap along the whole tested segment so that the contact
+    floor, where the field sees w(u) rather than u, does not pollute the
+    quotient.
     """
     eps_list = sorted(float(e) for e in eps_list)
     M = assemble_mass(u.grid)

@@ -95,17 +95,14 @@ def write_contact_csv(path, pf: PotentialField):
 
 
 def potential_meta(pf: PotentialField) -> dict:
-    def lst(a):
-        return [None if not np.isfinite(v) else float(v) for v in a]
-
     return {
         "n_x": len(pf.x) - 1, "n_z1": len(pf.z1) - 1, "n_z2": len(pf.eta) - 1,
         "z1": [float(v) for v in pf.z1], "eta": [float(v) for v in pf.eta],
         "eps_contact": pf.gap.eps_contact,
-        "interface_flux": lst(pf.interface_flux),
-        "interface_flux_gap": lst(pf.interface_flux_gap),
-        "top_trace_dz": lst(pf.top_trace_dz),
-        "bottom_trace_dz1": lst(pf.bottom_trace_dz1),
+        "interface_flux": pf.interface_flux.tolist(),
+        "interface_flux_gap": pf.interface_flux_gap.tolist(),
+        "top_trace_dz": pf.top_trace_dz.tolist(),
+        "bottom_trace_dz1": pf.bottom_trace_dz1.tolist(),
         "boundary_inf": pf.boundary_inf, "boundary_sup": pf.boundary_sup,
         "residual": pf.residual,
     }

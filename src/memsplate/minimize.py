@@ -7,10 +7,16 @@ recovered, which is exactly what :func:`continuation_pipeline` certifies.
 
 Descent is projected gradient with Armijo backtracking, preconditioned by
 the inverse of the quadratic stiffness (a raw gradient step is useless at
-the fourth-order conditioning of the bending operator).  Feasibility is
-kept exactly by clipping nodal values at -H.  Stationarity is certified by
-a first-order residual measured against single-DOF feasible directions
-normalized in the energy space, so the tolerance is grid-independent.
+the fourth-order conditioning of the bending operator); once the plate
+touches the layer, L-BFGS pairs of the latest steps add the field curvature
+the stiffness lacks.  Feasibility is kept exactly by clipping nodal values
+at -H.  The gradient is the exact gradient of the discrete energy, with the
+field energy differentiated by ``FieldSolver.shape_gradient_load``; it
+drives the descent and is the certificate.  Stationarity is certified by a
+first-order residual of it measured against single-DOF feasible directions
+normalized in the energy space, so the tolerance is grid-independent.  The
+same measure of the trace-formula force's weak residual is reported beside
+it as the trace residual.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import MaxIterations, StalledDescent
-from .fields import Factor, FieldGrid, FieldSolver, PotentialField
+from .fields import FieldGrid, FieldSolver, PotentialField
 from .forces import ForceProfile, compute_force, force_load_vector
 from .hermite import (
     PlateGrid,
@@ -56,13 +62,16 @@ __all__ = [
 
 
 # Line search: first step, backtracking factor, growth after an accepted step,
-# smallest step, trials per candidate and the Armijo constant.
+# smallest step, trials per iterate and the Armijo constant.
 _STEP0 = 1.0
 _SHRINK = 0.5
 _GROW = 1.5
 _STEP_FLOOR = 1e-14
 _MAX_LS_TRIALS = 30
 _ARMIJO_C1 = 1e-4
+# L-BFGS pairs kept, and the rounding noise of E_k in ulps of its terms
+_MEMORY = 5
+_NOISE_ULPS = 64.0
 
 
 @dataclass(frozen=True)
@@ -94,6 +103,7 @@ class EnergyReport:
     reg_active: bool
     vi_residual: float
     fp_residual: float
+    trace_residual: float
     tol_vi: float
     n_contact_nodes: int
     iterations: int = 0
@@ -106,7 +116,8 @@ class EnergyReport:
         return {
             "E_m": self.E_m, "E_e": self.E_e, "E": self.E, "E_k": self.E_k, "k": self.k,
             "reg_active": self.reg_active, "vi_residual": self.vi_residual,
-            "fp_residual": self.fp_residual, "tol_vi": self.tol_vi,
+            "fp_residual": self.fp_residual, "trace_residual": self.trace_residual,
+            "tol_vi": self.tol_vi,
             "n_contact_nodes": self.n_contact_nodes, "iterations": self.iterations,
             "converged": self.converged,
         }
@@ -230,60 +241,72 @@ def tol_vi_for(ctx: SolveContext, u: PlateState) -> float:
 # -- energy evaluation -----------------------------------------------------------
 
 
-def _evaluate(ctx: SolveContext, u: PlateState, k: float, factor: Factor = None):
-    """Field solve + all energies + force profile for one state.
+def _evaluate(ctx: SolveContext, u: PlateState, k: float, factor=None):
+    """Field solve + all energies for one state.
 
     ``factor`` is a held field factor to precondition the solve with (see
     ``FieldSolver.solve``); the solve factors afresh without one.
     """
     pf = ctx.field.solve(u, factor)
     Ee = ctx.field.electrostatic_energy(pf)
-    gprof = compute_force(u, pf, ctx.family, ctx.p)
     Em = mechanical_energy(u, ctx.p.beta, ctx.p.tau)
     penv, peng, active = penalty_value_grad(u, k, ctx.constants.A)
     E = Em + Ee
     Ek = E + penv
     return {
-        "pf": pf, "gprof": gprof, "E_m": Em, "E_e": Ee, "E": E, "E_k": Ek,
+        "pf": pf, "E_m": Em, "E_e": Ee, "E": E, "E_k": Ek,
         "pen_value": penv, "pen_grad": peng, "reg_active": active,
     }
 
 
-def _descent_residual(ctx: SolveContext, u: PlateState, ev: dict) -> np.ndarray:
-    """Exact gradient of the discrete energy, for constant-potential data.
+def _certify(ctx: SolveContext, u: PlateState, ev: dict) -> dict:
+    """Certificate of one evaluated state.
 
-    Shape differentiation of the mapped assembly, so backtracking never
-    fights the trace-formula discretization error.
+    ``r`` is the exact gradient of the discrete energy and ``vi``, ``fp`` its
+    measures against ``tol``; ``trace`` is the same measure of the weak
+    residual of the trace-formula ``force`` (stiffness + penalty + force
+    paired by the mass), reported beside it.
     """
-    load = ctx.field.shape_gradient_load(ev["pf"], u)
-    return ctx.K @ u.dofs + ev["pen_grad"] + load
-
-
-def _certify(ctx: SolveContext, u: PlateState, ev: dict):
-    """Certificate residual, its (vi, fp) measures and the tolerance of one evaluated state.
-
-    The residual is the weak form: stiffness + penalty + force paired by the mass.
-    """
-    r = ctx.K @ u.dofs + ev["pen_grad"] + force_load_vector(ev["gprof"], u, ctx.M)
+    r_mech = ctx.K @ u.dofs + ev["pen_grad"]
+    r = r_mech + ctx.field.shape_gradient_load(ev["pf"], u)
     vi, fp = _residuals(ctx, u, r)
-    return r, vi, fp, tol_vi_for(ctx, u)
+    force = compute_force(u, ev["pf"], ctx.family, ctx.p)
+    trace, _ = _residuals(ctx, u, r_mech + force_load_vector(force, u, ctx.M))
+    return {"r": r, "vi": vi, "fp": fp, "tol": tol_vi_for(ctx, u), "force": force, "trace": trace}
 
 
-def _report(ev: dict, k: float, vi: float, fp: float, tol: float, **run) -> EnergyReport:
+def _report(ev: dict, cert: dict, k: float, **run) -> EnergyReport:
     """The report of one evaluated state; ``run`` holds the descent's bookkeeping."""
     return EnergyReport(
         E_m=ev["E_m"], E_e=ev["E_e"], E=ev["E"], E_k=ev["E_k"], k=k,
-        reg_active=ev["reg_active"], vi_residual=vi, fp_residual=fp,
-        tol_vi=tol, n_contact_nodes=int(np.sum(ev["gprof"].contact)),
-        potential=ev["pf"], force=ev["gprof"], **run,
+        reg_active=ev["reg_active"], vi_residual=cert["vi"], fp_residual=cert["fp"],
+        trace_residual=cert["trace"], tol_vi=cert["tol"],
+        n_contact_nodes=int(np.sum(cert["force"].contact)),
+        potential=ev["pf"], force=cert["force"], **run,
     )
 
 
 def energy_total(u: PlateState, k: float, ctx: SolveContext) -> EnergyReport:
     """Solve the field and report every energy plus the stationarity residual."""
     ev = _evaluate(ctx, u, k)
-    _, vi, fp, tol = _certify(ctx, u, ev)
-    return _report(ev, k, vi, fp, tol)
+    return _report(ev, _certify(ctx, u, ev), k)
+
+
+def _quasi_newton(ctx: SolveContext, mask: np.ndarray, r: np.ndarray, pairs: list) -> np.ndarray:
+    """L-BFGS direction -H r on the DOFs in mask, seeded with the inverse stiffness.
+
+    ``pairs`` holds (step, gradient change) of the latest iterates, zero off
+    the mask; with none this is the stiffness-preconditioned gradient step.
+    """
+    q, alphas = np.where(mask, r, 0.0), []
+    for sk, yk in reversed(pairs):
+        alphas.append((sk @ q) / (yk @ sk))
+        q = q - alphas[-1] * yk
+    z = np.zeros_like(r)
+    z[mask] = ctx.reduced_solve(mask, q)
+    for (sk, yk), a in zip(pairs, reversed(alphas)):
+        z = z + (a - (yk @ z) / (yk @ sk)) * sk
+    return -z
 
 
 def _clip_values(dofs: np.ndarray, H: float) -> np.ndarray:
@@ -297,8 +320,10 @@ def minimize_Ek(
 ) -> tuple[PlateState, EnergyReport]:
     """Backtracked projected descent on the regularized energy.
 
-    Every accepted step strictly decreases the (re-solved) energy; iteration
-    stops once the stationarity residual reaches its tolerance.  Raises
+    Every accepted step decreases the (re-solved) energy by the Armijo amount,
+    save a last one whose energy change is within rounding noise and which
+    lands on a state stationary within tol; iteration stops once the
+    stationarity residual reaches its tolerance.  Raises
     StalledDescent if backtracking bottoms out first and MaxIterations at the
     outer cap; both carry the last iterate.
     """
@@ -314,82 +339,79 @@ def minimize_Ek(
     ev = _evaluate(ctx, u, k)
     trajectory = []
     step = _STEP0
-    trace_ok = True  # sticky: drop the trace candidate once it fully fails a search
+    pairs, last = [], None
 
     for it in range(1, st.max_outer + 1):
-        r_cert, vi, fp, tol = _certify(ctx, u, ev)
+        cert = _certify(ctx, u, ev)
+        r, vi, tol = cert["r"], cert["vi"], cert["tol"]
         # ls_trials and factorizations count what leaving this iterate costs
         rec = {
             "iter": it - 1, "E_m": ev["E_m"], "E_e": ev["E_e"], "E_k": ev["E_k"],
-            "step": step, "vi_residual": vi,
-            "n_contact_nodes": int(np.sum(ev["gprof"].contact)),
+            "step": step, "vi_residual": vi, "trace_residual": cert["trace"],
+            "lin_residual": ev["pf"].residual,
+            "n_contact_nodes": int(np.sum(cert["force"].contact)),
             "ls_trials": 0, "factorizations": 0,
         }
         trajectory.append(rec)
         if vi <= tol:
-            return u, _report(ev, k, vi, fp, tol, iterations=it - 1, converged=True, trajectory=trajectory)
+            return u, _report(ev, cert, k, iterations=it - 1, converged=True, trajectory=trajectory)
 
-        # Two candidate gradients: the certificate residual (its zero is the
-        # certified solution, so prefer it away from contact) and the exact
-        # discrete-energy gradient, which keeps making monotone progress when
-        # the trace-formula field is polluted near a free boundary.
-        has_contact = bool(np.any(ev["gprof"].contact))
-        if ctx.family.constant_potential:
-            r_adj = _descent_residual(ctx, u, ev)
-            if has_contact or not trace_ok:
-                candidates = [("adjoint", r_adj)] + ([("trace", r_cert)] if trace_ok else [])
-            else:
-                candidates = [("trace", r_cert), ("adjoint", r_adj)]
+        # active-set reduction: freeze obstacle nodes whose multiplier is
+        # nonnegative, otherwise the projected step loses its descent
+        # component to the clipping
+        pinned = (u.values <= -p.H + 1e-12 * max(1.0, p.H)) & (r[0::2] >= 0.0)
+        mask = ctx._free.copy()
+        mask[2 * np.nonzero(pinned)[0]] = False
+        # on the layer the stiffness misses the field's curvature at the contact
+        # edge, and the latest steps on an unchanged active set supply it; off
+        # the layer the stiffness step alone is kept
+        if pinned.any() and last is not None and np.array_equal(mask, last[0]):
+            sk, yk = np.where(mask, u.dofs - last[1], 0.0), np.where(mask, r - last[2], 0.0)
+            if sk @ yk > 0.0:
+                pairs = (pairs + [(sk, yk)])[-_MEMORY:]
         else:
-            candidates = [("trace", r_cert)]
+            pairs = []
+        last = (mask, u.dofs, r)
+        d = _quasi_newton(ctx, mask, r, pairs)
 
         # every trial is preconditioned by the factor of the current iterate; an
         # accepted trial hands on the factor its own solve used
         held = ev["pf"].factor
+        noise = _NOISE_ULPS * np.finfo(float).eps * (abs(ev["E_m"]) + abs(ev["E_e"]) + ev["pen_value"])
         accepted = None
-        s = step
-        for cand_name, r in candidates:
-            # active-set reduction: freeze obstacle nodes whose multiplier is
-            # nonnegative, otherwise the projected step loses its descent
-            # component to the clipping
-            pinned = (u.values <= -p.H + 1e-12 * max(1.0, p.H)) & (r[0::2] >= 0.0)
-            mask = ctx._free.copy()
-            mask[2 * np.nonzero(pinned)[0]] = False
-            d = np.zeros_like(u.dofs)
-            d[mask] = -ctx.reduced_solve(mask, r)
-            s = step
-            n_trials = 0
-            while s >= _STEP_FLOOR and n_trials < _MAX_LS_TRIALS:
-                trial = PlateState(ctx.plate, _clip_values(u.dofs + s * d, p.H))
-                if np.array_equal(trial.dofs, u.dofs):
-                    break  # step vanished under clipping/rounding
-                n_trials += 1
-                ev_t = _evaluate(ctx, trial, k, held)
-                rec["ls_trials"] += 1
-                rec["factorizations"] += int(ev_t["pf"].factor is not held)
-                delta = ev_t["E_k"] - ev["E_k"]
-                pred = float(r @ (trial.dofs - u.dofs))
-                armijo = delta <= _ARMIJO_C1 * pred if pred < 0.0 else delta < 0.0
-                if delta < 0.0 and armijo:
-                    accepted = (trial, ev_t)
-                    break
-                s *= _SHRINK
-            if accepted is not None:
+        # an L-BFGS direction carries its length; a stiffness step reuses the last one
+        s = rec["step"] = 1.0 if pairs else step
+        while s >= _STEP_FLOOR and rec["ls_trials"] < _MAX_LS_TRIALS:
+            trial = PlateState(ctx.plate, _clip_values(u.dofs + s * d, p.H))
+            if np.array_equal(trial.dofs, u.dofs):
+                break  # step vanished under clipping/rounding
+            ev_t = _evaluate(ctx, trial, k, held)
+            rec["ls_trials"] += 1
+            rec["factorizations"] += int(ev_t["pf"].factor is not held)
+            delta = ev_t["E_k"] - ev["E_k"]
+            pred = float(r @ (trial.dofs - u.dofs))
+            armijo = delta <= _ARMIJO_C1 * pred if pred < 0.0 else delta < 0.0
+            # near a minimizer the decrease can fall below the energy's rounding
+            # noise before the residual reaches tol: a trial whose change is
+            # noise is accepted when it is itself stationary within tol
+            if (delta < 0.0 and armijo) or (
+                abs(delta) <= noise and _certify(ctx, trial, ev_t)["vi"] <= tol_vi_for(ctx, trial)
+            ):
+                accepted = (trial, ev_t)
                 break
-            if cand_name == "trace":
-                trace_ok = False
+            s *= _SHRINK
         if accepted is None:
             raise StalledDescent(
                 f"backtracking floor reached at residual {vi:.3e} (tol {tol:.3e})",
-                state=u, report=_report(ev, k, vi, fp, tol, iterations=it - 1, trajectory=trajectory),
+                state=u, report=_report(ev, cert, k, iterations=it - 1, trajectory=trajectory),
             )
         u, ev = accepted
         step = min(s * _GROW, 64.0 * _STEP0)
 
-    _, vi, fp, tol = _certify(ctx, u, ev)
-    report = _report(ev, k, vi, fp, tol, iterations=st.max_outer, trajectory=trajectory)
+    cert = _certify(ctx, u, ev)
+    report = _report(ev, cert, k, iterations=st.max_outer, trajectory=trajectory)
     raise MaxIterations(
-        f"outer cap {st.max_outer} reached at residual {vi:.3e}", state=u, report=report
+        f"outer cap {st.max_outer} reached at residual {cert['vi']:.3e}", state=u, report=report
     )
 
 
@@ -455,6 +477,7 @@ def continuation_pipeline(ctx: SolveContext) -> tuple[PlateState, EnergyReport, 
         "bound_pass": bool(bound_ok),
         "reg_active": report.reg_active,
         "vi_residual": report.vi_residual,
+        "trace_residual": report.trace_residual,
         "tol_vi": report.tol_vi,
         "converged": report.converged,
         "iterations": report.iterations,

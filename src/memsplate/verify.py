@@ -324,6 +324,7 @@ def run_suite(u: PlateState, ctx: SolveContext, k: float = None) -> dict:
             "vi_residual": report_nrg.vi_residual,
             "tol_vi": report_nrg.tol_vi,
             "fp_residual": report_nrg.fp_residual,
+            "trace_residual": report_nrg.trace_residual,
             "pass": bool(report_nrg.vi_residual <= report_nrg.tol_vi),
         }
 

@@ -70,14 +70,15 @@ def test_force_analytic_requires_canonical(setup):
 
 
 def test_full_contact_branch(setup):
+    # on the layer the gap is floored at eps: the plate-side force of a flat
+    # plate at height eps - H
     p, fam, grid, solver = setup
     u = PlateState.constant(grid, -p.H)
-    g = compute_force(u, solver.solve(u), fam, p)
+    pf = solver.solve(u)
+    g = compute_force(u, pf, fam, p)
     assert np.all(g.contact)
-    # layer-side trace V/d, vertical data combination cancels at the pinch
-    exact = 0.5 * p.sigma2 * ((p.sigma1 / p.sigma2) * (p.V / p.d)) ** 2
+    exact = force_analytic_flat(pf.gap.eps_contact - p.H, fam, p)
     assert np.allclose(g.values, exact, rtol=1e-8)
-    assert exact == pytest.approx(force_analytic_flat(-p.H, fam, p), rel=1e-14)
 
 
 def test_canonical_force_nonnegative_and_equals_square_term(setup, rng):

@@ -6,6 +6,7 @@ from memsplate import (
     PhysicalParams,
     PlateState,
     SolverSettings,
+    build_varying_potential_family,
     coercivity_check,
     coercivity_constant,
     continuation_pipeline,
@@ -102,16 +103,29 @@ def test_small_voltage_descent_certificate(solved32, ctx32):
     # downward force only: plate stays in [-H, 0]
     assert np.all(u.values <= 1e-12)
     assert np.all(u.values >= -ctx32.p.H)
-    # residual substitution where the obstacle is inactive (everywhere here):
-    # (B + S) u + M ghat must vanish against every free direction
-    from memsplate.forces import compute_force, force_load_vector
-
+    # the certificate is the exact gradient of the discrete energy; with the
+    # obstacle and the penalty inactive (everywhere here), (B + S) u + dE_e/du
+    # must vanish against every free direction
     pf = ctx32.field.solve(u)
-    g = compute_force(u, pf, ctx32.family, ctx32.p)
-    r = ctx32.K @ u.dofs + force_load_vector(g, u, ctx32.M)
+    r = ctx32.K @ u.dofs + ctx32.field.shape_gradient_load(pf, u)
     viol = np.abs(r) / ctx32._norms
     viol[~ctx32._free] = 0.0
     assert np.max(viol) <= rep.tol_vi
+    assert not rep.reg_active and rep.n_contact_nodes == 0
+
+
+def test_varying_potential_family_certifies():
+    # u-dependent boundary data: the descent and the certificate use the same
+    # exact gradient as for the builtin family
+    p = PhysicalParams(V=2.0)
+    fam = build_varying_potential_family(
+        p, lambda x: p.V * (1.0 + 0.3 * np.sin(np.pi * x / p.L)),
+        lambda x: p.V * 0.3 * np.pi / p.L * np.cos(np.pi * x / p.L),
+    )
+    ctx = make_context(p, family=fam, n_elems=16, field_grid=FieldGrid(16, 8, 8))
+    u, rep = minimize_Ek(ctx.zero_state(), max(ctx.constants.kappa0, p.H), ctx)
+    assert rep.converged and rep.vi_residual <= rep.tol_vi
+    assert rep.iterations > 0 and u.is_feasible(p.H)
 
 
 def test_descent_monotone_and_feasible(solved32, ctx32):
