@@ -111,6 +111,25 @@ def _add_elements(stencil: np.ndarray, ke: np.ndarray) -> None:
             stencil[az:az + nr, ax:ax + nc, 1 + bz - az, 1 + bx - ax] += ke[:, :, _PACKED[a, b]]
 
 
+def _nine_point_pattern(nr: int, nc: int):
+    """CSR pattern of a nine-point stencil on an nr x nc grid numbered row-major.
+
+    Returns (keep, indices, indptr): ``keep`` (nr, nc, 3, 3) marks the in-grid
+    neighbors, which row r*nc + c holds in (dz, dx) order, ascending column order.
+    """
+    r = np.arange(nr)[:, None, None, None] + np.arange(-1, 2)[None, None, :, None]
+    c = np.arange(nc)[None, :, None, None] + np.arange(-1, 2)[None, None, None, :]
+    keep = (r >= 0) & (r < nr) & (c >= 0) & (c < nc)
+    indices = np.broadcast_to(r * nc + c, keep.shape)[keep].astype(np.int32)
+    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=(2, 3)).ravel()))).astype(np.int32)
+    return keep, indices, indptr
+
+
+def _corners(arr: np.ndarray) -> np.ndarray:
+    """Corner values of every element of a tensor-grid array, basis-ordered, (n_elems, 4)."""
+    return np.stack([arr[:-1, :-1], arr[:-1, 1:], arr[1:, :-1], arr[1:, 1:]], axis=-1).reshape(-1, 4)
+
+
 @dataclass(frozen=True)
 class FieldGrid:
     """Tensor resolutions: n_x cells across D, n_z1 in the layer, n_z2 in the gap."""
@@ -150,7 +169,7 @@ class PotentialField:
     z1: np.ndarray           # physical layer levels, bottom to interface
     eta: np.ndarray          # reference gap levels, interface (0) to plate (1)
     psi1: np.ndarray         # (n_z1+1, n_x+1)
-    psi2: np.ndarray         # (n_z2+1, n_x+1)
+    psi2: np.ndarray         # (n_z2+1, n_x+1); its first row is psi1's last, the same memory
     gap: GapMap
     interface_flux: np.ndarray       # sigma1 * dz(psi1) at z = -H, per column
     interface_flux_gap: np.ndarray   # sigma2 * dz(psi2) at z = -H
@@ -173,11 +192,13 @@ class PotentialField:
 class FieldSolver:
     """Assembles and solves the transmission problem for plate states.
 
-    The layer and gap grids share the interface row and number their nodes
-    row-major, so together they form one (n_z1+n_z2+1) x (n_x+1) tensor grid
-    on which the operator is a nine-point stencil.  Its CSR pattern and the
-    state-independent layer block are built once per (params, grid); only
-    the gap block's values are recomputed per state.
+    The layer and gap grids share the interface row, so together they form
+    one (n_z1+n_z2+1) x (n_x+1) tensor grid on which the operator is a
+    nine-point stencil.  The pinned nodes are the grid's boundary ring
+    (electrode, side walls, plate), so the unknowns are its interior.  The
+    CSR pattern of the interior block and the state-independent layer
+    stencil are built once per (params, grid); only the gap stencil's values
+    are recomputed per state.
 
     The instance holds only this state-independent structure and no method
     modifies it: every per-state quantity lives in the returned GapMap and
@@ -204,18 +225,6 @@ class FieldSolver:
         self.hz1 = p.d / nz1
         self.heta = 1.0 / nz2
 
-        self.n1 = (nx + 1) * (nz1 + 1)
-        self.idx1 = np.arange(self.n1).reshape(nz1 + 1, nx + 1)
-        idx2 = np.empty((nz2 + 1, nx + 1), dtype=int)
-        idx2[0] = self.idx1[-1]
-        idx2[1:] = self.n1 + np.arange(nz2 * (nx + 1)).reshape(nz2, nx + 1)
-        self.idx2 = idx2
-        self.n_nodes = self.n1 + nz2 * (nx + 1)
-        # element corners: layer corners index psi1 (and the global unknowns),
-        # gap corners index psi2, as (nz2, nx, 4)
-        self._conn1 = self._elem_nodes(self.idx1)
-        self._conn2 = self._elem_nodes(np.arange(idx2.size).reshape(idx2.shape)).reshape(nz2, nx, 4)
-
         # Gauss points: x per element (nx, 2), layer z (nz1, 2), reference eta (nz2, 2)
         self._xq = self.x[:-1, None] + _GP[None, :] * self.hx
         zq = self.z1[:-1, None] + _GP[None, :] * self.hz1
@@ -224,15 +233,10 @@ class FieldSolver:
         # flatten to q = 2*qz + qx, matching the shape-table ordering
         self._sigma1_q = p.sigma1_at(self._xq[None, :, None, :], zq[:, None, :, None]).reshape(-1, 4)
 
-        # nine-point CSR pattern: row r*nc + c holds its in-grid neighbors in
-        # (dz, dx) order, which is ascending column order
+        # the pinned nodes are the grid's boundary ring; the free block couples
+        # the interior nodes, numbered row-major
         nr, nc = nz1 + nz2 + 1, nx + 1
-        r = np.arange(nr)[:, None, None, None] + np.arange(-1, 2)[None, None, :, None]
-        c = np.arange(nc)[None, :, None, None] + np.arange(-1, 2)[None, None, None, :]
-        self._in_grid = (r >= 0) & (r < nr) & (c >= 0) & (c < nc)        # (nr, nc, 3, 3)
-        self._indices = np.broadcast_to(r * nc + c, self._in_grid.shape)[self._in_grid].astype(np.int32)
-        row_nnz = self._in_grid.sum(axis=(2, 3)).ravel()
-        self._indptr = np.concatenate(([0], np.cumsum(row_nnz))).astype(np.int32)
+        self._in_block, self._indices, self._indptr = _nine_point_pattern(nr - 2, nc - 2)
         self._layer_stencil = np.zeros((nr, nc, 3, 3))
         _add_elements(self._layer_stencil, self._assemble_layer())
 
@@ -246,18 +250,6 @@ class FieldSolver:
         self._gap_kernel = (self.hx * self.heta * p.sigma2 * kernel).reshape(3, 2, 2, 10)
 
     # -- assembly ---------------------------------------------------------
-
-    def _elem_nodes(self, idx: np.ndarray) -> np.ndarray:
-        """Node quadruples for all elements of a tensor grid, basis-ordered."""
-        c00 = idx[:-1, :-1].ravel()
-        c10 = idx[:-1, 1:].ravel()
-        c01 = idx[1:, :-1].ravel()
-        c11 = idx[1:, 1:].ravel()
-        return np.stack([c00, c10, c01, c11], axis=1)
-
-    def _gap_corners(self, arr: np.ndarray) -> np.ndarray:
-        """Corner entries of a gap-grid array for every gap element, basis-ordered."""
-        return arr.ravel()[self._conn2.reshape(-1, 4)]
 
     def _assemble_layer(self) -> np.ndarray:
         """Packed element matrices of the (state-independent) layer block, (n_z1, n_x, 10)."""
@@ -293,13 +285,11 @@ class FieldSolver:
             ke = ke + eta * (-dg @ kb[qz]) + eta**2 * ((dg**2 / g) @ kc[qz])
         return ke
 
-    def _operator(self, gm: GapMap) -> sp.csr_matrix:
-        """The assembled transmission operator on all nodes for one gap geometry."""
+    def _stencil(self, gm: GapMap) -> np.ndarray:
+        """The nine-point stencil of the transmission operator on all nodes for one gap geometry."""
         stencil = self._layer_stencil.copy()
         _add_elements(stencil[self.grid.n_z1:], self._assemble_gap(gm))
-        return sp.csr_matrix(
-            (stencil[self._in_grid], self._indices, self._indptr), shape=(self.n_nodes, self.n_nodes)
-        )
+        return stencil
 
     # -- per-state geometry -------------------------------------------------
 
@@ -321,27 +311,29 @@ class FieldSolver:
             wq + p.H, dwq * duq, duq, dwq, d2wq,
         )
 
-    def _dirichlet(self, gm: GapMap):
-        """Boolean mask and values of all pinned nodes; the mask is the same for every state."""
-        p, f = self.p, self.family
-        nx = self.grid.n_x
-        mask = np.zeros(self.n_nodes, bool)
-        vals = np.zeros(self.n_nodes)
-        w = gm.w
+    def _dirichlet(self, gm: GapMap) -> np.ndarray:
+        """The node grid holding the pinned values on its boundary ring and zeros inside."""
+        p, f, nz1, w = self.p, self.family, self.grid.n_z1, gm.w
+        vals = np.zeros((nz1 + self.grid.n_z2 + 1, self.x.size))
+        vals[0] = f.h1(self.x, -p.H - p.d, w)  # grounded electrode
+        for i in (0, -1):  # side walls, both regions
+            vals[:nz1 + 1, i] = f.h1(self.x[i], self.z1, w[i])
+            vals[nz1:, i] = f.h2(self.x[i], -p.H + self.eta * gm.gamma[i], w[i])
+        vals[-1] = f.h2(self.x, w, w)  # plate row
+        return vals
 
-        def pin(ids, v):
-            mask[ids] = True
-            vals[ids] = v
-
-        # grounded electrode
-        pin(self.idx1[0], f.h1(self.x, -p.H - p.d, w))
-        # side walls, both regions
-        for i in (0, nx):
-            pin(self.idx1[:, i], f.h1(self.x[i], self.z1, w[i]))
-            pin(self.idx2[:, i], f.h2(self.x[i], -p.H + self.eta * gm.gamma[i], w[i]))
-        # plate row
-        pin(self.idx2[-1], f.h2(self.x, w, w))
-        return mask, vals
+    def _free_system(self, gm: GapMap):
+        """Free block, its right-hand side, and the node grid holding the pinned values."""
+        inner = self._stencil(gm)[1:-1, 1:-1]  # the free nodes' rows
+        ni, nj = inner.shape[:2]
+        A = sp.csr_matrix((inner[self._in_block], self._indices, self._indptr), shape=(ni * nj, ni * nj))
+        # load of the pinned neighbors, summed in (dz, dx) order as a CSR row is
+        nodes = self._dirichlet(gm)
+        load = np.zeros((ni, nj))
+        for dz in range(3):
+            for dx in range(3):
+                load += inner[:, :, dz, dx] * nodes[dz:dz + ni, dx:dx + nj]
+        return A, -load.ravel(), nodes
 
     # -- solve ---------------------------------------------------------------
 
@@ -357,44 +349,34 @@ class FieldSolver:
         if self.grid.n_x % u.grid.n_elems != 0:
             raise ValueError("field n_x must be a multiple of the plate element count")
         gm = self.gap_map(u)
-        A = self._operator(gm)
-
-        mask, gvals = self._dirichlet(gm)
-        free = ~mask
-        full = gvals.copy()
-
-        rhs = -(A @ gvals)[free]  # gvals is zero at the free nodes
-        Aff = A[free][:, free]
+        Aff, rhs, nodes = self._free_system(gm)
         rhs_norm = float(np.linalg.norm(rhs))
         if rhs_norm == 0.0:
-            x = np.zeros(int(free.sum()))
+            x = np.zeros(rhs.size)
             res = 0.0
         else:
             x = None
             if factor is not None:
-                pre = spla.LinearOperator(Aff.shape, matvec=factor.solve)
+                pre = spla.LinearOperator(Aff.shape, matvec=factor.solve, dtype=float)
                 x, info = spla.cg(Aff, rhs, rtol=self.tol_lin, maxiter=_PCG_MAXIT, M=pre)
                 res = float(np.linalg.norm(Aff @ x - rhs))
                 if info != 0 or not res <= self.tol_lin * rhs_norm:
                     x = None
             if x is None:
-                factor = spla.splu(
-                    Aff.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
-                )
+                factor = spla.splu(Aff.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
                 x = factor.solve(rhs)
                 res = float(np.linalg.norm(Aff @ x - rhs))
             if not np.isfinite(res) or res > max(10.0 * self.tol_lin, 1e-8) * rhs_norm:
                 raise LinearSolveFailed(f"linear solve residual {res:.3e} vs rhs {rhs_norm:.3e}")
-        full[free] = x
 
-        psi1 = full[self.idx1]
-        psi2 = full[self.idx2]
-        b = gvals[mask]
-        return self._package(gm, psi1, psi2, res, float(b.min()), float(b.max()), factor)
+        nodes[1:-1, 1:-1] = x.reshape(nodes[1:-1, 1:-1].shape)
+        return self._package(gm, nodes, res, factor)
 
-    def _package(self, gm, psi1, psi2, res, binf, bsup, factor) -> PotentialField:
-        p = self.p
-        hz1, he = self.hz1, self.heta
+    def _package(self, gm, nodes, res, factor) -> PotentialField:
+        p, hz1, he = self.p, self.hz1, self.heta
+        psi1, psi2 = nodes[:self.grid.n_z1 + 1], nodes[self.grid.n_z1:]
+        # the pinned ring in row-major order: electrode row, both walls row by row, plate row
+        ring = np.concatenate([nodes[0], nodes[1:-1, ::nodes.shape[1] - 1].ravel(), nodes[-1]])
         d1 = (3.0 * psi1[-1] - 4.0 * psi1[-2] + psi1[-3]) / (2.0 * hz1)
         s1_if = self.p.sigma1_at(self.x, np.full_like(self.x, -p.H))
         dtop = (3.0 * psi2[-1] - 4.0 * psi2[-2] + psi2[-3]) / (2.0 * he * gm.gamma)
@@ -406,7 +388,7 @@ class FieldSolver:
             interface_flux_gap=p.sigma2 * dbot2,
             top_trace_dz=dtop,
             bottom_trace_dz1=d1,
-            boundary_inf=binf, boundary_sup=bsup,
+            boundary_inf=float(ring.min()), boundary_sup=float(ring.max()),
             residual=res, factor=factor,
         )
 
@@ -419,14 +401,14 @@ class FieldSolver:
         p, hx, hz, he = self.p, self.hx, self.hz1, self.heta
 
         # layer
-        e1 = psi1.ravel()[self._conn1]                         # (ne, 4)
+        e1 = _corners(psi1)                                    # (ne, 4)
         gx = e1 @ _NXI / hx                                    # (ne, 4 gauss)
         gz = e1 @ _NZE / hz
         total = float(np.sum(self._sigma1_q * (gx**2 + gz**2) * _W) * hx * hz)
 
         # gap
         g4, b4 = (a.reshape(-1, 4) for a in self._gap_coeffs(gm))
-        e2 = self._gap_corners(psi2)
+        e2 = _corners(psi2)
         gx = e2 @ _NXI / hx
         ge = e2 @ _NZE / he
         dens = g4 * gx**2 + 2.0 * b4 * gx * ge + (1.0 + b4**2) / g4 * ge**2
@@ -456,7 +438,7 @@ class FieldSolver:
         gm = pf.gap
         g4, b4 = self._gap_coeffs(gm)
 
-        e2 = self._gap_corners(pf.psi2)
+        e2 = _corners(pf.psi2)
         px = (e2 @ _NXI / hx).reshape(nz2, nx, 2, 2)              # [jz, kx, qz, qx]
         pe = (e2 @ _NZE / he).reshape(nz2, nx, 2, 2)
         dI_dg = px**2 - (1.0 + b4**2) / g4**2 * pe**2

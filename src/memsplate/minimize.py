@@ -45,6 +45,7 @@ from .params import (
     PhysicalParams,
     build_canonical_boundary_data,
     derive_constants,
+    validate_family,
 )
 
 __all__ = [
@@ -163,8 +164,14 @@ def make_context(
     field_grid: FieldGrid = None,
     settings: SolverSettings = None,
 ) -> SolveContext:
-    """Assemble everything reusable for a device: matrices, field solver, constants."""
-    family = family if family is not None else build_canonical_boundary_data(p)
+    """Assemble everything reusable for a device: matrices, field solver, constants.
+
+    A family passed in must first pass ``validate_family``.
+    """
+    if family is None:
+        family = build_canonical_boundary_data(p)
+    else:
+        validate_family(family, p)
     constants = constants if constants is not None else derive_constants(p, family)
     settings = settings if settings is not None else SolverSettings()
     plate = PlateGrid(n_elems, p.L)

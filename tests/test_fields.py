@@ -18,7 +18,21 @@ from memsplate import (
     interpolate,
 )
 from memsplate.errors import LinearSolveFailed
-from memsplate.fields import _NXI, _NZE, _W
+from memsplate.fields import _NXI, _NZE, _W, _nine_point_pattern
+
+
+def node_numbers(solver):
+    """Row-major numbers of the (n_z1+n_z2+1) x (n_x+1) node grid that layer and gap share."""
+    g = solver.grid
+    return np.arange((g.n_z1 + g.n_z2 + 1) * (g.n_x + 1)).reshape(g.n_z1 + g.n_z2 + 1, g.n_x + 1)
+
+
+def all_node_operator(solver, gm):
+    """The transmission operator on every node, built from the solver's nine-point stencil."""
+    stencil = solver._stencil(gm)
+    keep, indices, indptr = _nine_point_pattern(*stencil.shape[:2])
+    n = indptr.size - 1
+    return sp.csr_matrix((stencil[keep], indices, indptr), shape=(n, n))
 
 
 def flat_exact_arrays(solver, fam, c, H):
@@ -146,8 +160,11 @@ def test_assembled_operator_is_symmetric(setup):
     p, fam, grid, solver = setup
     u = interpolate(grid, lambda x: 0.3 * np.sin(np.pi * x) * (1 - x**2),
                     lambda x: 0.3 * (np.pi * np.cos(np.pi * x) * (1 - x**2) - 2 * x * np.sin(np.pi * x)))
-    A = solver._operator(solver.gap_map(u))
+    gm = solver.gap_map(u)
+    A = all_node_operator(solver, gm)
     assert (A - A.T).nnz == 0
+    Aff = solver._free_system(gm)[0]
+    assert (Aff - Aff.T).nnz == 0
 
 
 def test_energy_equals_matrix_quadratic_form(setup):
@@ -155,10 +172,9 @@ def test_energy_equals_matrix_quadratic_form(setup):
     u = PlateState.constant(grid, 0.0)
     pf = solver.solve(u)
     gm = solver.gap_map(u)
-    A = solver._operator(gm)
-    full = np.empty(solver.n_nodes)
-    full[solver.idx1] = pf.psi1
-    full[solver.idx2] = pf.psi2
+    A = all_node_operator(solver, gm)
+    # the gap grid's first row is the layer's last
+    full = np.concatenate([pf.psi1.ravel(), pf.psi2[1:].ravel()])
     quad = float(full @ (A @ full))
     form = solver.form_value(pf.psi1, pf.psi2, gm)
     assert quad == pytest.approx(form, rel=1e-8)
@@ -258,7 +274,7 @@ def test_grid_validation():
 def coo_reference_operator(solver, gm):
     """The operator assembled element by element as COO triplets (duplicates summed)."""
     p, hx, hz, he = solver.p, solver.hx, solver.hz1, solver.heta
-    nz2 = solver.grid.n_z2
+    nz1, nz2 = solver.grid.n_z1, solver.grid.n_z2
     kxx_q = np.einsum("aq,bq->abq", _NXI, _NXI)
     kzz_q = np.einsum("aq,bq->abq", _NZE, _NZE)
     kxz_q = np.einsum("aq,bq->abq", _NXI, _NZE) + np.einsum("aq,bq->abq", _NZE, _NXI)
@@ -268,12 +284,16 @@ def coo_reference_operator(solver, gm):
     gap = (np.einsum("eq,abq,q->eab", g, kxx_q / hx**2, _W)
            + np.einsum("eq,abq,q->eab", b, kxz_q / (hx * he), _W)
            + np.einsum("eq,abq,q->eab", (1.0 + b**2) / g, kzz_q / he**2, _W)) * (hx * he * p.sigma2)
-    nodes = np.concatenate([solver._conn1, solver.idx2.ravel()[solver._conn2.reshape(-1, 4)]])
+    idx = node_numbers(solver)
+
+    def elem_nodes(ids):  # basis-ordered corners of every element
+        return np.stack([ids[:-1, :-1], ids[:-1, 1:], ids[1:, :-1], ids[1:, 1:]], axis=-1).reshape(-1, 4)
+
+    nodes = np.concatenate([elem_nodes(idx[:nz1 + 1]), elem_nodes(idx[nz1:])])
     vals = [layer, gap]
     rows = np.repeat(nodes, 4, axis=1).ravel()
     cols = np.tile(nodes, (1, 4)).ravel()
-    return sp.coo_matrix((np.concatenate(vals).ravel(), (rows, cols)),
-                         shape=(solver.n_nodes, solver.n_nodes)).tocsr()
+    return sp.coo_matrix((np.concatenate(vals).ravel(), (rows, cols)), shape=(idx.size, idx.size)).tocsr()
 
 
 @pytest.mark.parametrize("varying_layer", [False, True])
@@ -296,17 +316,23 @@ def test_fixed_pattern_operator_matches_coo_assembly(varying_layer):
                                lambda x: 2 * p.H * np.pi * np.cos(np.pi * x / 2) ** 3
                                * np.sin(np.pi * x / 2)),
     }
-    nnz = set()
+    # the free nodes are the interior of the node grid, numbered row-major
+    interior = node_numbers(solver)[1:-1, 1:-1].ravel()
+    nnz, nnz_free = set(), set()
     for name, u in states.items():
         gm = solver.gap_map(u)
         assert (name == "contact") == bool(gm.contact.any())
-        A = solver._operator(gm)
+        A = all_node_operator(solver, gm)
         ref = coo_reference_operator(solver, gm)
         assert abs(A - ref).max() <= 1e-13 * abs(ref).max(), name
+        Aff = solver._free_system(gm)[0]
+        assert abs(Aff - ref[interior][:, interior]).max() <= 1e-13 * abs(ref).max(), name
         nnz.add(A.nnz)
+        nnz_free.add(Aff.nnz)
     # one pattern for every state
     nr, nc = fgrid.n_z1 + fgrid.n_z2 + 1, fgrid.n_x + 1
     assert nnz == {(3 * nr - 2) * (3 * nc - 2)}
+    assert nnz_free == {(3 * nr - 8) * (3 * nc - 8)}
 
 
 def test_held_factor_solve_matches_direct(setup):
@@ -319,12 +345,16 @@ def test_held_factor_solve_matches_direct(setup):
     ref = solver.solve(u)
     assert pf.factor is held and ref.factor is not held
 
+    # the free system from the all-node operator and the pinned ring values
     gm = solver.gap_map(u)
-    A = solver._operator(gm)
-    mask, gvals = solver._dirichlet(gm)
-    free = ~mask
-    rhs = -(A[:, mask] @ gvals[mask])[free]
+    A = all_node_operator(solver, gm)
+    pinned = solver._dirichlet(gm).ravel()  # zero at the free nodes
+    free = node_numbers(solver)[1:-1, 1:-1].ravel()
+    rhs = -(A @ pinned)[free]
     Aff = A[free][:, free]
+    Aff_solver, rhs_solver, _ = solver._free_system(gm)
+    assert np.array_equal(rhs_solver, rhs)
+    assert abs(Aff_solver - Aff).max() == 0.0
     assert 0.0 < pf.residual <= solver.tol_lin * np.linalg.norm(rhs)
     # error e = Aff^-1 r: |e| <= |r| / lambda_min, and the energy moves by e'Aff e / 2
     lam_min = np.linalg.eigvalsh(Aff.toarray())[0]
@@ -333,6 +363,25 @@ def test_held_factor_solve_matches_direct(setup):
     assert np.max(np.abs(pf.psi2 - ref.psi2)) <= err + 1e-13
     E, E_ref = solver.electrostatic_energy(pf), solver.electrostatic_energy(ref)
     assert abs(E - E_ref) <= 0.5 * pf.residual * err + 1e-13 * abs(E_ref)
+
+
+def test_held_factor_is_never_probed_with_a_zero_vector(setup):
+    # CG calls the preconditioner only on residuals; without a dtype the
+    # LinearOperator would probe it once with zeros, a wasted triangular solve
+    p, fam, grid, solver = setup
+    f = lambda a: interpolate(grid, lambda x: -a * np.cos(np.pi * x / 2) ** 2,
+                              lambda x: a * np.pi / 2 * np.sin(np.pi * x))
+    lu = solver.solve(f(0.30)).factor
+    seen = []
+
+    class CountingLU:
+        def solve(self, rhs):
+            seen.append(bool(np.any(rhs)))
+            return lu.solve(rhs)
+
+    held = CountingLU()
+    assert solver.solve(f(0.33), factor=held).factor is held
+    assert seen and all(seen)
 
 
 @pytest.mark.parametrize("state", ["contact-free", "contact", "varying-potential"])

@@ -265,7 +265,7 @@ def test_cli_solve_factors_the_field_once_without_contact(tmp_path, monkeypatch)
     assert sum(r["factorizations"] for r in recs) == 0
 
 
-def test_cli_sweep_builds_one_context_per_point_and_one_more(tmp_path, monkeypatch):
+def test_cli_sweep_builds_one_context_per_point(tmp_path, monkeypatch):
     import memsplate.cli
 
     calls = []
@@ -276,7 +276,7 @@ def test_cli_sweep_builds_one_context_per_point_and_one_more(tmp_path, monkeypat
     rc = main(["sweep", "--config", write_config(tmp_path, V=0.0), "--vmin", "0", "--vmax", "0.5",
                "--steps", "6", "--out", str(tmp_path / "s")])
     assert rc == 0
-    assert len(calls) <= 7
+    assert len(calls) == 6
 
 
 def test_manifest_determinism(tmp_path):

@@ -17,7 +17,7 @@ from memsplate import (
 )
 from conftest import random_feasible_state
 
-from memsplate.errors import MaxIterations, StalledDescent
+from memsplate.errors import AssumptionViolated, MaxIterations, StalledDescent
 from memsplate.minimize import penalty_value_grad, tol_vi_for
 
 
@@ -112,6 +112,15 @@ def test_small_voltage_descent_certificate(solved32, ctx32):
     viol[~ctx32._free] = 0.0
     assert np.max(viol) <= rep.tol_vi
     assert not rep.reg_active and rep.n_contact_nodes == 0
+
+
+def test_make_context_validates_a_family_passed_in(unit_params, canonical):
+    from dataclasses import replace
+
+    # breaks interface matching: h1 = h2 + 0.1
+    f = replace(canonical, h1=lambda x, z, w: canonical.h2(x, z, w) + 0.1, tag="user-supplied")
+    with pytest.raises(AssumptionViolated, match="matching"):
+        make_context(unit_params, family=f, n_elems=16, field_grid=FieldGrid(16, 8, 8))
 
 
 def test_varying_potential_family_certifies():
