@@ -461,10 +461,12 @@ class FieldSolver:
         np.add.at(grad, u.grid.conn[e_p].T, N0 * Wg.ravel() + N1 * Wb.ravel())
         return grad
 
-    def boundary_data_energy(self, u: PlateState) -> float:
-        """Dirichlet form of the interpolated boundary data h_u (an upper bound witness)."""
+    def boundary_data_energy(self, gm: GapMap) -> float:
+        """Dirichlet form of the interpolated boundary data h_u (an upper bound witness).
+
+        gm is the state's gap map, as carried by its ``PotentialField.gap``.
+        """
         p, f = self.p, self.family
-        gm = self.gap_map(u)
         h1 = f.h1(self.x[None, :], self.z1[:, None], gm.w[None, :])
         z2 = -p.H + self.eta[:, None] * gm.gamma[None, :]
         h2 = f.h2(self.x[None, :], z2, gm.w[None, :])

@@ -347,9 +347,10 @@ def minimize_Ek(
     trajectory = []
     step = _STEP0
     pairs, last = [], None
+    cert = None  # an accepted trial's certificate, when the line search computed it
 
     for it in range(1, st.max_outer + 1):
-        cert = _certify(ctx, u, ev)
+        cert = cert if cert is not None else _certify(ctx, u, ev)
         r, vi, tol = cert["r"], cert["vi"], cert["tol"]
         # ls_trials and factorizations count what leaving this iterate costs
         rec = {
@@ -398,24 +399,27 @@ def minimize_Ek(
             delta = ev_t["E_k"] - ev["E_k"]
             pred = float(r @ (trial.dofs - u.dofs))
             armijo = delta <= _ARMIJO_C1 * pred if pred < 0.0 else delta < 0.0
+            if delta < 0.0 and armijo:
+                accepted = (trial, ev_t, None)
+                break
             # near a minimizer the decrease can fall below the energy's rounding
             # noise before the residual reaches tol: a trial whose change is
             # noise is accepted when it is itself stationary within tol
-            if (delta < 0.0 and armijo) or (
-                abs(delta) <= noise and _certify(ctx, trial, ev_t)["vi"] <= tol_vi_for(ctx, trial)
-            ):
-                accepted = (trial, ev_t)
-                break
+            if abs(delta) <= noise:
+                cert_t = _certify(ctx, trial, ev_t)
+                if cert_t["vi"] <= cert_t["tol"]:
+                    accepted = (trial, ev_t, cert_t)
+                    break
             s *= _SHRINK
         if accepted is None:
             raise StalledDescent(
                 f"backtracking floor reached at residual {vi:.3e} (tol {tol:.3e})",
                 state=u, report=_report(ev, cert, k, iterations=it - 1, trajectory=trajectory),
             )
-        u, ev = accepted
+        u, ev, cert = accepted
         step = min(s * _GROW, 64.0 * _STEP0)
 
-    cert = _certify(ctx, u, ev)
+    cert = cert if cert is not None else _certify(ctx, u, ev)
     report = _report(ev, cert, k, iterations=st.max_outer, trajectory=trajectory)
     raise MaxIterations(
         f"outer cap {st.max_outer} reached at residual {cert['vi']:.3e}", state=u, report=report

@@ -259,13 +259,15 @@ def validate_family(f: BoundaryDataFamily, p: PhysicalParams, tol: float = 1e-10
     return rep
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _certified_max(eval_on_w, w_lo: float, w_hi: float, label: str) -> float:
     """Max over w in [w_lo, w_hi] of eval_on_w(w_array), certified against growth.
 
     One _N_W-point grid is evaluated; its even points form the coarse grid.  A
-    fine maximum that is not finite or exceeds 1.25x the coarse one raises
-    UnboundedGrowth.  Then _REFINE_PASSES grids of _N_REFINE points refine
-    around the running argmax, two steps of the previous grid to each side.
+    fine maximum that is not finite (an overflow included) or exceeds 1.25x
+    the coarse one raises UnboundedGrowth.  Then _REFINE_PASSES grids of
+    _N_REFINE points refine around the running argmax, two steps of the
+    previous grid to each side.
     """
     w = np.linspace(w_lo, w_hi, _N_W)
     vals = eval_on_w(w)
@@ -335,7 +337,12 @@ def compute_m_constants(f: BoundaryDataFamily, p: PhysicalParams, w_max: float) 
 
 
 def compute_K_and_G0(f: BoundaryDataFamily, p: PhysicalParams, w_max: float) -> tuple[float, float]:
-    """Plate-trace gradient bound K and the force floor magnitude G0 = sigma2 K^2."""
+    """Plate-trace gradient bound K and the force floor magnitude G0 = sigma2 K^2.
+
+    The builtin family holds the plate at h2(x, w, w) = V, so the trace gradient
+    dx_h2 + dz_h2 + dw_h2 is exactly zero there and K is the floor EPS_M; the
+    trace of any other family is sampled.
+    """
     x = np.linspace(-p.L, p.L, _N_X_K)[:, None]
     wchk = np.linspace(-p.H, w_max, 101)[None, :]
     kb0 = np.max(np.abs(f.dw_h1(x, -p.H - p.d, wchk)))
@@ -350,7 +357,7 @@ def compute_K_and_G0(f: BoundaryDataFamily, p: PhysicalParams, w_max: float) -> 
             np.abs(f.dx_h2(x, w, w)) + np.abs(f.dz_h2(x, w, w) + f.dw_h2(x, w, w)), axis=0
         )
 
-    K = max(EPS_M, SAFETY * _certified_max(trace, -p.H, w_max, "K"))
+    K = EPS_M if f.is_canonical else max(EPS_M, SAFETY * _certified_max(trace, -p.H, w_max, "K"))
     return K, p.sigma2 * K**2
 
 
@@ -358,7 +365,10 @@ def compute_A(m2: float, m3: float, sbar: float, d: float, beta: float) -> float
     """Regularization strength: 8 (d+1) sbar (3 m2 / 2 + m3^2 (d+1) sbar / beta)."""
     if m2 < 0 or m3 < 0 or sbar < 0:
         raise ValueError("m2, m3, sigma_bar must be nonnegative")
-    return 8.0 * (d + 1.0) * sbar * (1.5 * m2 + m3**2 * (d + 1.0) * sbar / beta)
+    try:
+        return 8.0 * (d + 1.0) * sbar * (1.5 * m2 + m3**2 * (d + 1.0) * sbar / beta)
+    except OverflowError:
+        raise UnboundedGrowth(f"A overflows at m3 = {m3:.3e}") from None
 
 
 @dataclass(frozen=True)
@@ -406,6 +416,9 @@ def derive_constants(p: PhysicalParams, f: BoundaryDataFamily, w_max: float = No
         raise UnboundedGrowth("working range for the trace bound did not settle")
     m1, m2, m3 = compute_m_constants(f, p, w0)
     A = compute_A(m2, m3, sbar, p.d, p.beta)
-    return DerivedConstants(
+    out = DerivedConstants(
         sigma_bar=sbar, m1=m1, m2=m2, m3=m3, K=K, G0=G0, A=A, kappa0=kappa0, w_max=w0
     )
+    if not np.all(np.isfinite(list(out.as_dict().values()))):
+        raise UnboundedGrowth(f"derived constants overflow: {out.as_dict()}")
+    return out

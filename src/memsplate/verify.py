@@ -246,8 +246,7 @@ def comparison_bound_battery(
                 count_by_case[bvp.case_tag] += 1
                 ratio = bvp.max_abs / kap if kap > 0 else 0.0
                 worst = max(worst, ratio)
-                tol = 1e-8 if bvp.exact else 1e-6
-                good = bvp.max_abs <= kap * (1.0 + tol)
+                good = bvp.max_abs <= kap * (1.0 + 1e-8)
                 ok = ok and good
                 if not good:
                     records.append({"a": a, "b": b, "tau": tau, "G0": G0,
@@ -293,7 +292,7 @@ def run_suite(u: PlateState, ctx: SolveContext, k: float = None) -> dict:
 
     def chk_energy_identity():
         lhs = report_nrg.E_m + report_nrg.E_e
-        data_bound = ctx.field.boundary_data_energy(u_field)
+        data_bound = ctx.field.boundary_data_energy(report_nrg.potential.gap)
         return {
             "E_sum_matches": bool(lhs == report_nrg.E),
             "E_k_not_below_E": bool(report_nrg.E_k >= report_nrg.E),
@@ -332,8 +331,8 @@ def run_suite(u: PlateState, ctx: SolveContext, k: float = None) -> dict:
         "apriori_bound": (True, lambda: check_apriori_bound(u, c.kappa0)),
         "boggio_probe": (False, lambda: boggio_positivity_probe((-p.L, p.L), p.beta, p.tau)),
         "coincidence_interval": (True, chk_coincidence),
-        "comparison_bounds": (True, lambda: comparison_bound_battery(
-            p.beta, (0.0, p.tau if p.tau > 0 else 1.0), (0.0, 1.0, 10.0), p.L, p.H, 12)),
+        # the comparison problems of this device: its tension and its force floor G0
+        "comparison_bounds": (True, lambda: comparison_bound_battery(p.beta, (p.tau,), (c.G0,), p.L, p.H, 12)),
         "comparison_sandwich": (False, lambda: comparison_sandwich(u_field, ctx, k, gprof)),
         "energy_identity": (True, chk_energy_identity),
         "feasibility": (True, chk_feasibility),

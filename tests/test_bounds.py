@@ -43,7 +43,7 @@ def closed_form_tension_solution(a, b, va, vb, beta, tau, G0):
 def test_full_interval_quartic_exact():
     beta, L, H, G0 = 1.3, 1.0, 1.0, 2.0
     bvp = solve_comparison_bvp(-L, L, G0, beta, 0.0, L, H)
-    assert bvp.case_tag == "full" and bvp.exact
+    assert bvp.case_tag == "full"
     x = bvp.x
     exact = G0 * (L**2 - x**2) ** 2 / (24.0 * beta)
     assert np.max(np.abs(bvp.S - exact)) <= 1e-12
@@ -80,9 +80,38 @@ def test_one_sided_cases_classified():
 def test_tension_solve_matches_closed_form():
     beta, tau, L, H, G0 = 1.0, 1.0, 1.0, 1.0, 10.0
     a, b = -0.7, 0.5
-    bvp = solve_comparison_bvp(a, b, G0, beta, tau, L, H, n_elems=512)
+    bvp = solve_comparison_bvp(a, b, G0, beta, tau, L, H)
     S = closed_form_tension_solution(a, b, -H, -H, beta, tau, G0)
-    assert np.max(np.abs(bvp.S - S(bvp.x))) <= 1e-6
+    assert np.max(np.abs(bvp.S - S(bvp.x))) <= 1e-10
+
+
+def test_tension_sup_is_at_least_a_dense_sample(rng):
+    # both sides of the series/exponential switch at k (b - a) / 2 = 1, all four cases
+    L, H = 1.0, 1.0
+    for j in range(24):
+        beta, tau = float(rng.uniform(0.5, 2.0)), float(10 ** rng.uniform(-2.0, 2.0))
+        G0 = float(rng.uniform(0.0, 20.0))
+        a = -L if j % 4 in (0, 1) else float(rng.uniform(-0.9, 0.3))
+        b = L if j % 4 in (0, 2) else float(rng.uniform(a + 0.1, 0.95))
+        bvp = solve_comparison_bvp(a, b, G0, beta, tau, L, H)
+        va = 0.0 if bvp.case_tag in ("full", "touches_left") else -H
+        vb = 0.0 if bvp.case_tag in ("full", "touches_right") else -H
+        S = closed_form_tension_solution(a, b, va, vb, beta, tau, G0)
+        sample = float(np.max(np.abs(S(np.linspace(a, b, 200_001)))))
+        assert sample * (1.0 - 1e-10) <= bvp.max_abs <= sample * (1.0 + 1e-9)
+
+
+def test_comparison_solution_is_continuous_in_tension():
+    # the small-tension basis reduces to the quartic, and meets the exponential one
+    a, b, G0, beta, L, H = -0.8, 0.6, 5.0, 1.3, 1.0, 1.0
+    quartic = solve_comparison_bvp(a, b, G0, beta, 0.0, L, H)
+    for tau, rel in ((1e-14, 1e-12), (1e-8, 1e-9)):
+        S = solve_comparison_bvp(a, b, G0, beta, tau, L, H).S
+        assert np.max(np.abs(S - quartic.S)) <= rel * np.max(np.abs(quartic.S))
+    tau_switch = beta * (2.0 / (b - a)) ** 2  # k (b - a) / 2 = 1
+    below, above = (solve_comparison_bvp(a, b, G0, beta, tau_switch * f, L, H) for f in (1 - 1e-12, 1 + 1e-12))
+    assert np.max(np.abs(below.S - above.S)) <= 1e-12 * np.max(np.abs(below.S))
+    assert below.max_abs == pytest.approx(above.max_abs, rel=1e-12)
 
 
 def test_kappa0_zero_load_zero_tension():

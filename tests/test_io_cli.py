@@ -356,20 +356,23 @@ def test_log_level_env(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["solve", "verify", "sweep", "sweep-pooled"])
 def test_cli_uncertifiable_constants_exit_2(tmp_path, command, caplog):
-    # at V = 1e200 the trace bound K cannot be certified: derive_constants raises UnboundedGrowth
-    big = write_config(tmp_path, V=1e200)
-    out = str(tmp_path / "o")
-    if command == "solve":
-        argv = ["solve", "--config", big, "--out", out]
-    elif command == "verify":
-        state = tmp_path / "u.csv"
-        write_plate_csv(state, PlateState.constant(PlateGrid(16, 1.0), 0.0))
-        argv = ["verify", "--config", big, "--state", str(state), "--out", out]
-    else:
-        argv = ["sweep", "--config", write_config(tmp_path, V=0.0), "--vmin", "0", "--vmax", "1e200",
-                "--steps", "2", "--out", out, "--workers", "2" if command == "sweep-pooled" else "1"]
-    assert main(argv) == 2
-    assert "config error:" in caplog.text
+    # at V = 1e100 the regularization strength A overflows, at V = 1e200 the growth
+    # constant m1: derive_constants raises UnboundedGrowth for both
+    for V in (1e100, 1e200):
+        caplog.clear()
+        big = write_config(tmp_path, V=V)
+        out = str(tmp_path / f"o{V:g}")
+        if command == "solve":
+            argv = ["solve", "--config", big, "--out", out]
+        elif command == "verify":
+            state = tmp_path / "u.csv"
+            write_plate_csv(state, PlateState.constant(PlateGrid(16, 1.0), 0.0))
+            argv = ["verify", "--config", big, "--state", str(state), "--out", out]
+        else:
+            argv = ["sweep", "--config", write_config(tmp_path, V=0.0), "--vmin", "0", "--vmax", f"{V:g}",
+                    "--steps", "2", "--out", out, "--workers", "2" if command == "sweep-pooled" else "1"]
+        assert main(argv) == 2
+        assert "config error:" in caplog.text
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -403,6 +406,17 @@ def test_cli_sweep_builds_no_context_off_its_points(tmp_path, workers):
     assert (out / "V_2" / "u.csv").exists() and (out / "V_2" / "point.json").exists()
 
 
+def _reduced_config(tmp_path) -> str:
+    """The 32 / 32x16x16 device at the default tolerance."""
+    cfg = tmp_path / "reduced.ini"
+    cfg.write_text(
+        CONFIG_SMALL.format(V=0.0)
+        .replace("n_elems = 16\nn_x = 16\nn_z1 = 8\nn_z2 = 8", "n_elems = 32\nn_x = 32\nn_z1 = 16\nn_z2 = 16")
+        .replace("tol_vi_factor = 1e-6\n", "")
+    )
+    return str(cfg)
+
+
 @pytest.mark.parametrize("vmax", ["10.65", "11.95"])
 def test_cli_sweep_through_touchdown_certifies_every_point(tmp_path, vmax):
     # A warm-started 6-point sweep on the 32 / 32x16x16 device at the default
@@ -410,17 +424,30 @@ def test_cli_sweep_through_touchdown_certifies_every_point(tmp_path, vmax):
     # 11.95 V sweep stalled at 9.56 V with residual 7.7e-3.  Without the
     # line search's finishing rule the 10.65 V point stalled at 5.8e-8 against
     # tol 1e-8, its energy changes below rounding.
-    cfg = tmp_path / "reduced.ini"
-    cfg.write_text(
-        CONFIG_SMALL.format(V=0.0)
-        .replace("n_elems = 16\nn_x = 16\nn_z1 = 8\nn_z2 = 8", "n_elems = 32\nn_x = 32\nn_z1 = 16\nn_z2 = 16")
-        .replace("tol_vi_factor = 1e-6\n", "")
-    )
     sout = tmp_path / "touchdown"
-    rc = main(["sweep", "--config", str(cfg), "--vmin", "0", "--vmax", vmax, "--steps", "6",
+    rc = main(["sweep", "--config", _reduced_config(tmp_path), "--vmin", "0", "--vmax", vmax, "--steps", "6",
                "--out", str(sout)])
     with open(sout / "sweep.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["status"] for r in rows] == ["converged"] * 6
     assert rc == 0
     assert float(rows[-1]["min_u"]) == -1.0 and float(rows[-1]["contact_measure"]) > 0.0
+
+
+def test_cli_sweep_certifies_each_state_once(tmp_path, monkeypatch):
+    # the 10.65 V point ends on a trial accepted at noise level because it
+    # certified; that certificate is handed on, not computed again
+    import memsplate.minimize
+
+    seen = []
+    certify = memsplate.minimize._certify
+
+    def recording(ctx, u, ev):
+        seen.append((ctx.p.V, u.dofs.tobytes()))
+        return certify(ctx, u, ev)
+
+    monkeypatch.setattr(memsplate.minimize, "_certify", recording)
+    rc = main(["sweep", "--config", _reduced_config(tmp_path), "--vmin", "0", "--vmax", "10.65", "--steps", "6",
+               "--out", str(tmp_path / "touchdown")])
+    assert rc == 0
+    assert len(seen) == len(set(seen))

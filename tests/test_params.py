@@ -107,6 +107,28 @@ def test_K_canonical_at_floor(unit_params, canonical):
     assert np.max(np.abs(canonical.dz_h2(x, w, w) + canonical.dw_h2(x, w, w))) <= 1e-12
 
 
+def test_K_canonical_is_the_floor_at_any_voltage():
+    # the builtin plate trace is the constant V, so K is the floor at every V; a
+    # sample of dz_h2 + dw_h2 would read rounding noise that grows with V
+    for V in (1e4, 1e20):
+        p = PhysicalParams(V=V)
+        c = derive_constants(p, build_canonical_boundary_data(p))
+        assert c.K == EPS_M and c.G0 == p.sigma2 * EPS_M**2
+        assert c.w_max == 50.0 and np.isfinite(c.A)
+
+
+def test_overflowing_constants_raise_unbounded_growth():
+    # no bare OverflowError or overflow RuntimeWarning: an uncertifiable device
+    import warnings
+
+    for V in (1e100, 1e200):
+        p = PhysicalParams(V=V)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(UnboundedGrowth):
+                derive_constants(p, build_canonical_boundary_data(p))
+
+
 def test_K_user_family_with_offset_trace(unit_params, canonical):
     from dataclasses import replace
 
@@ -288,7 +310,8 @@ def test_certified_max_matches_two_pass_reference(case, monkeypatch):
     derive_constants(p, f)
     labels = [c[3] for c in calls]
     assert labels[-4:] == ["m1 (layer)", "m1 (gap)", "m3 (layer)", "m3 (gap)"]
-    assert set(labels[:-4]) == {"K"}
+    # the builtin family's K is its closed form, not sampled
+    assert set(labels[:-4]) == (set() if f.is_canonical else {"K"})
     for eval_on_w, w_lo, w_hi, label in calls:
         _assert_matches_reference(eval_on_w, w_lo, w_hi, label)
 

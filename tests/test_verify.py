@@ -107,6 +107,36 @@ def test_run_suite_solves_the_state_once(ctx, solved, monkeypatch):
     assert len(calls) == 1
 
 
+def test_run_suite_maps_the_gap_once(ctx, solved, monkeypatch):
+    # the energy identity's data energy reads the solve's gap map
+    calls = []
+    gap_map = FieldSolver.gap_map
+    monkeypatch.setattr(
+        FieldSolver, "gap_map", lambda self, u: calls.append(u) or gap_map(self, u)
+    )
+    run_suite(solved, ctx)
+    assert len(calls) == 1
+
+
+def test_run_suite_checks_this_devices_comparison_problems(monkeypatch):
+    # every comparison solve of the mandatory check is at the device's own tension and G0
+    import memsplate.verify
+
+    tctx = make_context(PhysicalParams(V=2.0, tau=0.5), n_elems=16, field_grid=FieldGrid(16, 8, 8))
+    calls = []
+    solve = memsplate.verify.solve_comparison_bvp
+
+    def recording(a, b, G0, beta, tau, L, H, **kw):
+        calls.append((tau, G0))
+        return solve(a, b, G0, beta, tau, L, H, **kw)
+
+    monkeypatch.setattr(memsplate.verify, "solve_comparison_bvp", recording)
+    rep = run_suite(PlateState.zero(tctx.plate), tctx)
+    assert calls and all(c == (tctx.p.tau, tctx.constants.G0) for c in calls)
+    by_name = {c["name"]: c for c in rep["checks"]}
+    assert by_name["comparison_bounds"]["pass"]
+
+
 def test_run_suite_detects_infeasible_state(ctx):
     u = PlateState.zero(ctx.plate)
     u.dofs[16] = -1.5  # one value below the layer
