@@ -2,13 +2,11 @@
 """The comparison solves behind the a-priori sup bound.
 
 Solves the clamped fourth-order comparison problem in closed form on random
-subintervals (all four endpoint cases, with and without tension), checks
-every solution against the interval-free bound kappa0, and probes sign
-preservation of the clamped operator.
+subintervals (all four endpoint cases, with and without tension) and checks
+every solution against the interval-free bound kappa0.
 """
 
 from memsplate import (
-    boggio_positivity_probe,
     comparison_bound_battery,
     kappa0_bound,
     kappa0_case_bounds,
@@ -30,7 +28,3 @@ for (a, b) in [(-L, L), (-L, 0.2), (-0.3, L), (-0.6, 0.4)]:
 battery = comparison_bound_battery(beta, (0.0, 1.0), (0.0, 1.0, 10.0), L, H, n_intervals=50)
 print(f"\nbound battery over {sum(battery['cases'].values())} solves: "
       f"worst max|S|/kappa0 = {battery['worst_ratio']:.4f}  pass={battery['pass']}")
-
-probe = boggio_positivity_probe((-L, L), beta, tau)
-print(f"sign probe: {probe['fraction_nonpositive']:.0%} of {probe['n_probes']} "
-      f"nonnegative loads gave nonpositive solutions (min z = {probe['min_z']:.4g})")

@@ -5,7 +5,7 @@ Sweeps the applied potential with warm starts.  Past pull-in the plate
 lands on the insulating layer; the contact set then grows with voltage and
 stays a single interval, while min(u) saturates at -H instead of diverging.
 Points that cannot be certified to the stationarity tolerance are kept and
-marked (their states are still monotone-energy local minimizers).
+marked (each was still reached by a monotone energy descent).
 """
 
 from memsplate import FieldGrid, PhysicalParams, make_context, minimize_Ek

@@ -5,7 +5,6 @@ from .bounds import (
     kappa0_bound,
     kappa0_case_bounds,
     q_profile,
-    solve_clamped_bvp,
     solve_comparison_bvp,
 )
 from .errors import *  # noqa: F401,F403
@@ -60,11 +59,9 @@ from .params import (
 )
 from .verify import (
     CoincidenceReport,
-    boggio_positivity_probe,
     check_apriori_bound,
     check_coincidence_interval,
     comparison_bound_battery,
-    comparison_sandwich,
     run_suite,
 )
 

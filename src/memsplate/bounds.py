@@ -14,16 +14,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import InvalidInterval
-from .hermite import (
-    PlateGrid, PlateState, assemble_bending_and_stretch, clamped_dof_indices, gauss_rule, shape_functions,
-)
 
 __all__ = [
-    "ComparisonBVP", "q_profile", "q_profile_identities", "kappa0_case_bounds", "kappa0_bound",
-    "solve_comparison_bvp", "solve_clamped_bvp", "classify_interval",
+    "ComparisonBVP", "q_profile", "kappa0_case_bounds", "kappa0_bound", "solve_comparison_bvp",
+    "classify_interval",
 ]
 
 _ENDPOINT_RTOL = 1e-12
@@ -35,34 +31,14 @@ def q_profile(y: np.ndarray, H: float) -> np.ndarray:
     return y**2 * (y**2 + 2.0 * (H - 1.0) * y + 1.0 - 3.0 * H)
 
 
-def _q_deriv(y: np.ndarray, H: float, order: int) -> np.ndarray:
-    coeffs = np.array([0.0, 0.0, 1.0 - 3.0 * H, 2.0 * (H - 1.0), 1.0])
-    p = np.polynomial.Polynomial(coeffs)
-    return p.deriv(order)(np.asarray(y, dtype=float))
-
-
-def q_profile_identities(H: float, n_sample: int = 10_000) -> dict:
-    """Numeric check of the structural identities of the bridge profile."""
-    y = np.linspace(0.0, 1.0, n_sample)
-    q2 = _q_deriv(y, H, 2)
-    out = {
-        "Q0": float(q_profile(np.array(0.0), H)),
-        "dQ0": float(_q_deriv(0.0, H, 1)),
-        "Q1_plus_H": float(q_profile(np.array(1.0), H) + H),
-        "dQ1": float(_q_deriv(1.0, H, 1)),
-        "d4Q": float(_q_deriv(0.3, H, 4)),
-        "max_abs_Q": float(np.max(np.abs(q_profile(y, H)))),
-        "max_abs_d2Q": float(np.max(np.abs(q2))),
-        "d2Q_bound": 14.0 * (H + 1.0),
-    }
-    out["d2Q_within_bound"] = out["max_abs_d2Q"] <= out["d2Q_bound"] + 1e-12
-    return out
-
-
 def kappa0_case_bounds(beta: float, tau: float, L: float, H: float, G0: float) -> dict:
     """Per-case sup bounds for the comparison solutions (all four endpoint cases)."""
     base = 16.0 * L**4 * G0 / beta
-    qmax = q_profile_identities(H)["max_abs_Q"]
+    # max |Q| of the bridge profile on [0, 1]: Q' = 2y (y - 1)(2y - (1 - 3H)), so it is
+    # |Q(1)| = H or, for H < 1/3, Q(y*) = (1 - 3H)^3 (1 + H) / 16 at y* = (1 - 3H) / 2;
+    # for H >= 1/3 that value is <= 0.  Q(y*) is rounded up by 2^-48, twice the
+    # relative rounding error of its evaluation wherever it exceeds H (H < 0.05).
+    qmax = max(H, (1.0 - 3.0 * H) ** 3 * (1.0 + H) / 16.0 * (1.0 + 2.0**-48))
     interior = max(H, base - H)  # solution ranges over [-H, base - H]
     full = base                  # solution ranges over [0, base]
     one_sided = (16.0 * L**4 * G0 + 24.0 * beta + 56.0 * tau * (H + 1.0) * L**2) / beta + qmax
@@ -147,35 +123,6 @@ def _zeros(f, knots: np.ndarray) -> np.ndarray:
         j = np.argmax(fs[:, 1:] != fs[:, :1], axis=1)
         lo, hi = xs[rows, j], xs[rows, j + 1]
     return 0.5 * (lo + hi)
-
-
-def solve_clamped_bvp(
-    a: float, b: float, beta: float, tau: float, load, bc: tuple[float, float] = (0.0, 0.0), n_elems: int = 256
-) -> PlateState:
-    """Hermite solve of  beta z'''' - tau z'' = load  with value data bc and zero slopes.
-
-    ``load`` is a callable of x (vectorized, any shape).  Returns the discrete solution
-    as a plate state on its own grid.
-    """
-    if not b > a:
-        raise InvalidInterval(f"need a < b, got ({a}, {b})")
-    grid = PlateGrid.from_interval(n_elems, a, b)
-    B, S = assemble_bending_and_stretch(grid, beta, tau)
-    A = (B + S).tocsc()
-
-    xi, w = gauss_rule(6)
-    N0 = shape_functions(xi, grid.h, 0)
-    xq = (grid.x_left + np.arange(grid.n_elems) * grid.h)[:, None] + xi * grid.h
-    fx = np.asarray(load(xq), dtype=float)                   # (n_elems, n_gauss)
-    F = grid.scatter(grid.h * (N0 * (w * fx)[:, None, :]).sum(axis=2))
-
-    full = np.zeros(grid.n_dofs)
-    full[0], full[-2] = bc
-    fixed = clamped_dof_indices(grid)
-    free = np.setdiff1d(np.arange(grid.n_dofs), fixed)
-    rhs = F[free] - A[np.ix_(free, fixed)] @ full[fixed]
-    full[free] = spla.spsolve(A[np.ix_(free, free)], rhs)
-    return PlateState(grid, full)
 
 
 def solve_comparison_bvp(

@@ -2,8 +2,8 @@
 
 The regularized energy adds (A/2)||(u-k)_+||^2 to bending + tension +
 field energy; for k at least the certified sup bound the penalty never
-activates at a converged state and the minimizer of the plain energy is
-recovered, which is exactly what :func:`continuation_pipeline` certifies.
+activates at a converged state, so that state is a stationary state of the
+plain energy, which is what :func:`continuation_pipeline` certifies.
 
 Descent is projected gradient with Armijo backtracking, preconditioned by
 the inverse of the quadratic stiffness (a raw gradient step is useless at
@@ -460,8 +460,9 @@ def continuation_pipeline(ctx: SolveContext) -> tuple[PlateState, EnergyReport, 
 
     Picks k = max(kappa0, H), minimizes from the rest state, verifies the sup bound on a fine
     element sampling and that the penalty never activated; on success the
-    result is a minimizer candidate for the plain energy, and the returned
-    certificate holds every number a reviewer needs to re-check the claim.
+    result is a certified stationary state of the plain energy (first-order
+    stationarity and the sup bound), and the returned certificate holds every
+    number needed to re-check the claim.
     """
     c = ctx.constants
     k = max(c.kappa0, ctx.p.H)

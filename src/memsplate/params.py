@@ -264,17 +264,19 @@ def _certified_max(eval_on_w, w_lo: float, w_hi: float, label: str) -> float:
     """Max over w in [w_lo, w_hi] of eval_on_w(w_array), certified against growth.
 
     One _N_W-point grid is evaluated; its even points form the coarse grid.  A
-    fine maximum that is not finite (an overflow included) or exceeds 1.25x
-    the coarse one raises UnboundedGrowth.  Then _REFINE_PASSES grids of
-    _N_REFINE points refine around the running argmax, two steps of the
-    previous grid to each side.
+    fine maximum that is not finite (an overflow or a NaN sample) raises
+    UnboundedGrowth, and so does one that exceeds 1.25x the coarse one.  Then
+    _REFINE_PASSES grids of _N_REFINE points refine around the running argmax,
+    two steps of the previous grid to each side.
     """
     w = np.linspace(w_lo, w_hi, _N_W)
     vals = eval_on_w(w)
     coarse = max(-np.inf, float(np.max(vals[::2])))  # a NaN sample counts as -inf
     i = int(np.argmax(vals))
     best = max(-np.inf, float(vals[i]))
-    if not np.isfinite(best) or best > 1.25 * max(coarse, EPS_M):
+    if not np.isfinite(best):
+        raise UnboundedGrowth(f"{label} samples are not finite: they overflow (or are NaN)")
+    if best > 1.25 * max(coarse, EPS_M):
         raise UnboundedGrowth(
             f"{label} keeps growing under grid refinement ({coarse:.3e} -> {best:.3e})"
         )

@@ -1,8 +1,9 @@
-"""Verification machinery: comparison bounds, sign probes, contact checks.
+"""Verification machinery: the checks of one solved state.
 
 Every check is a pure function returning a small report dict with a ``pass``
 flag; :func:`run_suite` evaluates the whole battery for a solved state and
-aggregates a deterministic report (checks sorted by name).  Checks marked
+aggregates a deterministic report (checks sorted by name).  Each check reads
+the state, its one field solve or the device's own constants.  Checks marked
 mandatory gate the command-line verifier's exit status; the rest are
 diagnostics.
 """
@@ -13,14 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (
-    kappa0_bound,
-    q_profile_identities,
-    solve_clamped_bvp,
-    solve_comparison_bvp,
-)
+from .bounds import kappa0_bound, solve_comparison_bvp
 from .fields import check_max_principle, contact_threshold
-from .forces import ForceProfile
 from .hermite import PlateState, project_obstacle
 from .minimize import SolveContext, energy_total
 
@@ -28,8 +23,6 @@ __all__ = [
     "CoincidenceReport",
     "check_apriori_bound",
     "check_coincidence_interval",
-    "boggio_positivity_probe",
-    "comparison_sandwich",
     "comparison_bound_battery",
     "run_suite",
 ]
@@ -96,123 +89,6 @@ def check_coincidence_interval(
     )
 
 
-def _random_nonneg_load(rng: np.random.Generator, a: float, b: float, degree: int = 6):
-    """Smooth nonnegative function on [a, b]: a squared random Chebyshev series."""
-    coeffs = rng.standard_normal(degree)
-
-    def f(x):
-        t = 2.0 * (x - a) / (b - a) - 1.0
-        return np.polynomial.chebyshev.chebval(t, coeffs) ** 2
-
-    return f
-
-
-def boggio_positivity_probe(
-    interval: tuple[float, float],
-    beta: float,
-    tau: float,
-    n_probes: int = 20,
-    n_elems: int = 512,
-    seed: int = 20260809,
-    tol: float = None,
-) -> dict:
-    """Sign check of the clamped solve: nonnegative load pushed down.
-
-    Solves  beta z'''' - tau z'' = -f  with f >= 0 and clamped ends; the
-    continuous solution is nonpositive, the discrete one is asserted to stay
-    below a small positive tolerance.  Discrete systems of this kind are not
-    provably inverse-positive, hence the probabilistic acceptance.
-    """
-    a, b = interval
-    rng = np.random.default_rng(seed)
-    n_pass = 0
-    min_z = np.inf
-    worst_excursion = 0.0
-    for _ in range(n_probes):
-        f = _random_nonneg_load(rng, a, b)
-        z = solve_clamped_bvp(a, b, beta, tau, lambda x: -f(x), (0.0, 0.0), n_elems)
-        _, dense = z.sample_dense(6)
-        scale = max(1.0, float(np.max(np.abs(dense))))
-        t = 1e-10 * scale if tol is None else tol
-        min_z = min(min_z, float(dense.min()))
-        excursion = float(dense.max())
-        worst_excursion = max(worst_excursion, excursion)
-        if excursion <= t:
-            n_pass += 1
-    frac = n_pass / n_probes
-    return {
-        "n_probes": n_probes,
-        "fraction_nonpositive": frac,
-        "min_z": min_z,
-        "worst_positive_excursion": worst_excursion,
-        "pass": bool(frac >= 0.95),
-    }
-
-
-def _inactive_components(u: PlateState, H: float, tol_c: float) -> list[tuple[int, int]]:
-    """Maximal runs of nodes strictly above the obstacle, as node-index pairs."""
-    above = u.values > -H + tol_c
-    comps = []
-    i = 0
-    n = len(above)
-    while i < n:
-        if above[i]:
-            j = i
-            while j + 1 < n and above[j + 1]:
-                j += 1
-            comps.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-    return comps
-
-
-def comparison_sandwich(
-    u: PlateState, ctx: SolveContext, k: float, gprof: ForceProfile, refine: int = 8
-) -> dict:
-    """Downward comparison on every component of the non-contact set.
-
-    On each component, the clamped solve of
-    beta z'''' - tau z'' = -G0 - g(u) - A (u - k)_+  must be nonpositive
-    (the right-hand side is, by the force floor); tolerance absorbs the
-    interpolation of the nodal force ``gprof`` of u.
-    """
-    p, c = ctx.p, ctx.constants
-    tol_c = contact_threshold(u.grid.h, p.H)
-    nodes = u.grid.nodes
-    comps = _inactive_components(u, p.H, tol_c)
-    results = []
-    ok = True
-    for i0, i1 in comps:
-        # extend to the bounding contact nodes / domain ends where u = u' = 0 data holds
-        a = nodes[max(0, i0 - 1)] if i0 > 0 else nodes[0]
-        b = nodes[min(len(nodes) - 1, i1 + 1)] if i1 < len(nodes) - 1 else nodes[-1]
-        if b - a < 2 * u.grid.h:
-            continue
-
-        def rhs(x):
-            g = np.interp(x, gprof.x, gprof.values)
-            excess = np.maximum(u(x) - k, 0.0)
-            return -c.G0 - g - c.A * excess
-
-        n_sub = max(16, refine * (i1 - i0 + 2))
-        z = solve_clamped_bvp(a, b, p.beta, p.tau, rhs, (0.0, 0.0), n_sub)
-        _, dense = z.sample_dense(6)
-        scale = max(1.0, float(np.max(np.abs(dense))))
-        tol_z = 1e-8 * scale
-        excursion = float(dense.max())
-        passed = excursion <= tol_z
-        ok = ok and passed
-        results.append({
-            "interval": (float(a), float(b)),
-            "max_z": excursion,
-            "min_z": float(dense.min()),
-            "tol": tol_z,
-            "pass": bool(passed),
-        })
-    return {"components": results, "n_components": len(results), "pass": bool(ok)}
-
-
 def comparison_bound_battery(
     beta: float,
     tau_values=(0.0, 1.0),
@@ -273,7 +149,6 @@ def run_suite(u: PlateState, ctx: SolveContext, k: float = None) -> dict:
 
     # the one field solve of the state; every check reads its results
     report_nrg = energy_total(u_field, k, ctx)
-    gprof = report_nrg.force
 
     def chk_feasibility():
         return {
@@ -284,7 +159,7 @@ def run_suite(u: PlateState, ctx: SolveContext, k: float = None) -> dict:
 
     def chk_force_floor():
         floor = -c.G0 - 1e-8
-        gmin = float(np.min(gprof.values))
+        gmin = float(np.min(report_nrg.force.values))
         ok = gmin >= floor
         if ctx.family.constant_potential:
             ok = ok and gmin >= -1e-8
@@ -314,10 +189,6 @@ def run_suite(u: PlateState, ctx: SolveContext, k: float = None) -> dict:
         out["pass"] = bool(rep.is_interval or rep.assumption_violated)
         return out
 
-    def chk_q_profile():
-        q = q_profile_identities(p.H)
-        return {**q, "pass": bool(q["d2Q_within_bound"])}
-
     def chk_vi():
         return {
             "vi_residual": report_nrg.vi_residual,
@@ -329,17 +200,14 @@ def run_suite(u: PlateState, ctx: SolveContext, k: float = None) -> dict:
 
     checks = {
         "apriori_bound": (True, lambda: check_apriori_bound(u, c.kappa0)),
-        "boggio_probe": (False, lambda: boggio_positivity_probe((-p.L, p.L), p.beta, p.tau)),
         "coincidence_interval": (True, chk_coincidence),
         # the comparison problems of this device: its tension and its force floor G0
         "comparison_bounds": (True, lambda: comparison_bound_battery(p.beta, (p.tau,), (c.G0,), p.L, p.H, 12)),
-        "comparison_sandwich": (False, lambda: comparison_sandwich(u_field, ctx, k, gprof)),
         "energy_identity": (True, chk_energy_identity),
         "feasibility": (True, chk_feasibility),
         "force_floor": (True, chk_force_floor),
         "max_principle": (True, lambda: check_max_principle(
             report_nrg.potential, tol_lin=ctx.settings.tol_lin)),
-        "q_profile": (False, chk_q_profile),
         "stationarity": (False, chk_vi),
     }
 

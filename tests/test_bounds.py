@@ -1,16 +1,16 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from memsplate import (
-    boggio_positivity_probe,
     comparison_bound_battery,
     kappa0_bound,
     kappa0_case_bounds,
     q_profile,
-    solve_clamped_bvp,
     solve_comparison_bvp,
 )
-from memsplate.bounds import classify_interval, q_profile_identities
+from memsplate.bounds import classify_interval
 from memsplate.errors import InvalidInterval
 
 
@@ -116,7 +116,7 @@ def test_comparison_solution_is_continuous_in_tension():
 
 def test_kappa0_zero_load_zero_tension():
     H = 1.0
-    qmax = q_profile_identities(H)["max_abs_Q"]
+    qmax = float(np.max(np.abs(q_profile(np.linspace(0.0, 1.0, 10_001), H))))
     assert kappa0_bound(1.0, 0.0, 1.0, H, 0.0) == pytest.approx(max(H, 24.0 + qmax), rel=1e-12)
 
 
@@ -138,15 +138,40 @@ def test_kappa0_at_least_H(rng):
 
 
 def test_q_profile_identities():
+    y = np.linspace(0.0, 1.0, 10_001)
     for H in (0.5, 1.0, 2.0):
-        rep = q_profile_identities(H)
-        assert rep["Q0"] == 0.0 and rep["dQ0"] == 0.0
-        assert rep["Q1_plus_H"] == pytest.approx(0.0, abs=1e-12)
-        assert rep["dQ1"] == pytest.approx(0.0, abs=1e-12)
-        assert rep["d4Q"] == pytest.approx(24.0, rel=1e-12)
-        assert rep["max_abs_d2Q"] <= 14.0 * (H + 1.0) + 1e-12
+        # the quartic through five values of q_profile
+        Q = np.polynomial.Polynomial.fit(y[::2500], q_profile(y[::2500], H), 4)
+        # the quartic is q_profile, to rounding, on a dense sample
+        assert np.max(np.abs(Q(y) - q_profile(y, H))) <= 1e-13 * (H + 1.0)
+        assert q_profile(np.array(0.0), H) == 0.0
+        assert Q.deriv(1)(0.0) == pytest.approx(0.0, abs=1e-12)
+        assert q_profile(np.array(1.0), H) + H == pytest.approx(0.0, abs=1e-12)
+        assert Q.deriv(1)(1.0) == pytest.approx(0.0, abs=1e-12)
+        assert Q.deriv(4)(0.3) == pytest.approx(24.0, rel=1e-12)
+        assert np.max(np.abs(Q.deriv(2)(y))) <= 14.0 * (H + 1.0) + 1e-12
     # H = 1: Q(1) = -1 forced by the contact value
     assert q_profile(np.array(1.0), 1.0) == pytest.approx(-1.0, abs=1e-14)
+
+
+def _exact_q(y: Fraction, H: Fraction) -> Fraction:
+    return y**2 * (y**2 + 2 * (H - 1) * y + 1 - 3 * H)
+
+
+def test_q_max_is_the_closed_form(rng):
+    # H >= 1/3: Q has no extremum inside (0, 1), so max |Q| = |Q(1)| = H
+    for H in (1.0 / 3.0, 0.5, 1.0, 1.7, 40.0):
+        assert kappa0_case_bounds(1.0, 0.0, 1.0, H, 1.0)["q_max"] == H
+    # H < 1/3: at least every point of a 200k-point sample.  The float sample is off
+    # by a few ulp, so its points within 1e-12 of its maximum are evaluated exactly.
+    y = np.linspace(0.0, 1.0, 200_001)
+    for H in (1e-6, 0.01, 0.04, 0.05, 0.1, 0.3, 1.0 / 3.0 - 1e-9, *rng.uniform(0.0, 1.0 / 3.0, 16)):
+        H = float(H)
+        q_max = kappa0_case_bounds(1.0, 0.0, 1.0, H, 1.0)["q_max"]
+        sample = np.abs(q_profile(y, H))
+        near = y[sample >= sample.max() - 1e-12]
+        assert Fraction(q_max) >= max(abs(_exact_q(Fraction(t), Fraction(H))) for t in near), H
+        assert q_max <= sample.max() + 1e-10, H  # the maximum itself, not a looser bound
 
 
 def test_bound_battery_small():
@@ -160,22 +185,3 @@ def test_invalid_interval():
         solve_comparison_bvp(0.5, 0.2, 1.0, 1.0, 0.0, 1.0, 1.0)
     with pytest.raises(InvalidInterval):
         solve_comparison_bvp(-2.0, 0.2, 1.0, 1.0, 0.0, 1.0, 1.0)
-    with pytest.raises(InvalidInterval):
-        solve_clamped_bvp(0.3, 0.3, 1.0, 0.0, lambda x: x)
-
-
-def test_boggio_uniform_load_closed_form():
-    beta, L = 2.0, 1.0
-    z = solve_clamped_bvp(-L, L, beta, 0.0, lambda x: -np.ones_like(x), (0.0, 0.0), 256)
-    xs = np.linspace(-L, L, 201)
-    exact = -((L**2 - xs**2) ** 2) / (24.0 * beta)
-    assert np.max(np.abs(z(xs) - exact)) <= 1e-9
-    assert np.all(z(xs) <= 1e-12)
-
-
-def test_boggio_probe_random_loads():
-    rep = boggio_positivity_probe((-1.0, 1.0), 1.0, 0.0, n_probes=20, n_elems=256)
-    assert rep["pass"]
-    assert rep["fraction_nonpositive"] >= 0.95
-    rep_t = boggio_positivity_probe((-0.8, 0.6), 1.0, 1.0, n_probes=10, n_elems=256)
-    assert rep_t["pass"]

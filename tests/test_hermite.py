@@ -12,7 +12,6 @@ from memsplate import (
     mechanical_energy,
     project_obstacle,
 )
-from memsplate.bounds import solve_clamped_bvp
 from memsplate.errors import SingularAssembly
 from memsplate.hermite import clamped_dof_indices, gauss_rule, shape_functions
 from memsplate.minimize import penalty_value_grad
@@ -223,25 +222,6 @@ def _loop_penalty(u, k, A):
     return 0.5 * A * val, grad, active
 
 
-def _loop_clamped_bvp(grid, beta, tau, load, bc):
-    import scipy.sparse.linalg as spla
-
-    B, S = assemble_bending_and_stretch(grid, beta, tau)
-    K = (B + S).tocsc()
-    xi, w = gauss_rule(6)
-    N0 = shape_functions(xi, grid.h, 0)
-    F = np.zeros(grid.n_dofs)
-    for e in range(grid.n_elems):
-        fx = load(grid.x_left + e * grid.h + xi * grid.h)
-        F[grid.conn[e]] += grid.h * (N0 * (w * fx)).sum(axis=1)
-    full = np.zeros(grid.n_dofs)
-    full[0], full[-2] = bc
-    fixed = clamped_dof_indices(grid)
-    free = np.setdiff1d(np.arange(grid.n_dofs), fixed)
-    full[free] = spla.spsolve(K[np.ix_(free, free)], F[free] - K[np.ix_(free, fixed)] @ full[fixed])
-    return full
-
-
 @pytest.mark.parametrize("grid", [
     PlateGrid(1, 1.0), PlateGrid(3, 0.7), PlateGrid(128, 1.0), PlateGrid.from_interval(17, -0.3, 0.55),
 ], ids=["1", "3", "128", "interval"])
@@ -260,7 +240,3 @@ def test_element_kernel_matches_per_element_loops(grid, rng):
     ref_val, ref_grad, ref_active = _loop_penalty(u, 0.2, 3.0)
     assert active and ref_active and val > 0.0
     assert val == ref_val and np.array_equal(grad, ref_grad)
-
-    load = lambda x: np.cos(3.0 * x) + x**2
-    z = solve_clamped_bvp(grid.x_left, grid.x_right, 1.1, 0.6, load, (0.1, -0.2), grid.n_elems)
-    assert np.array_equal(z.dofs, _loop_clamped_bvp(grid, 1.1, 0.6, load, (0.1, -0.2)))

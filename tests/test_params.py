@@ -125,8 +125,11 @@ def test_overflowing_constants_raise_unbounded_growth():
         p = PhysicalParams(V=V)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(UnboundedGrowth):
+            with pytest.raises(UnboundedGrowth) as exc:
                 derive_constants(p, build_canonical_boundary_data(p))
+        if V == 1e200:
+            # m1 overflows on the first grid: nothing was refined, so no growth is claimed
+            assert str(exc.value) == "m1 (layer) samples are not finite: they overflow (or are NaN)"
 
 
 def test_K_user_family_with_offset_trace(unit_params, canonical):
@@ -257,7 +260,9 @@ def _reference_refined_max(eval_on_w, w_lo, w_hi, n_w=601, passes=3):
 def _reference_certified_max(eval_on_w, w_lo, w_hi, label):
     coarse = _reference_refined_max(eval_on_w, w_lo, w_hi, n_w=301, passes=1)
     fine = _reference_refined_max(eval_on_w, w_lo, w_hi, n_w=601, passes=1)
-    if not np.isfinite(fine) or fine > 1.25 * max(coarse, EPS_M):
+    if not np.isfinite(fine):
+        raise UnboundedGrowth(f"{label} samples are not finite: they overflow (or are NaN)")
+    if fine > 1.25 * max(coarse, EPS_M):
         raise UnboundedGrowth(
             f"{label} keeps growing under grid refinement ({coarse:.3e} -> {fine:.3e})"
         )
