@@ -61,7 +61,6 @@ from .verify import (
     CoincidenceReport,
     check_apriori_bound,
     check_coincidence_interval,
-    comparison_bound_battery,
     run_suite,
 )
 

@@ -23,12 +23,14 @@ from .errors import (
     ConfigError,
     DescentFailed,
     IncompatibleState,
+    MalformedState,
     MemsPlateError,
     UnboundedGrowth,
 )
 from .hermite import PlateState
 from .io_files import (
     ConfigBundle,
+    columns_to_csv,
     parse_config,
     potential_meta,
     read_plate_csv,
@@ -145,6 +147,7 @@ def cmd_solve(args) -> int:
         and not certificate["reg_active"]
         and certificate["lower_bound_pass"]
         and certificate["energy_below_rest"]
+        and certificate["within_certified_range"]
     )
     return 0 if cert_ok else 4
 
@@ -216,22 +219,15 @@ def cmd_sweep(args) -> int:
             rows.append(row)
             _log_point(row)
 
-    files = []
-    import csv as _csv
-
-    with open(outdir / "sweep.csv", "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow([
-            "V", "E", "E_m", "E_e", "min_u", "contact_measure", "is_interval",
-            "status", "vi_residual", "iterations",
-        ])
-        for row in sorted(rows, key=lambda r: r["V"]):
-            w.writerow([
-                repr(row["V"]), repr(row["E"]), repr(row["E_m"]), repr(row["E_e"]),
-                repr(row["min_u"]), repr(row["contact_measure"]), int(row["is_interval"]),
-                row["status"], repr(row["vi_residual"]), row["iterations"],
-            ])
-    files.append("sweep.csv")
+    header = [
+        "V", "E", "E_m", "E_e", "min_u", "contact_measure", "is_interval",
+        "status", "vi_residual", "iterations",
+    ]
+    ordered = sorted(rows, key=lambda r: r["V"])
+    columns_to_csv(outdir / "sweep.csv", header, [
+        [int(r[k]) if k == "is_interval" else r[k] for r in ordered] for k in header
+    ])
+    files = ["sweep.csv"]
 
     for row in rows:
         sub = outdir / f"V_{row['V']:.6g}"
@@ -259,8 +255,8 @@ def cmd_verify(args) -> int:
     except IncompatibleState as exc:
         log.error("state incompatible with config: %s", exc)
         return 5
-    except OSError as exc:
-        log.error("cannot read state: %s", exc)
+    except (OSError, MalformedState) as exc:
+        log.error("cannot read state %s: %s", args.state, exc)
         return 2
 
     report = run_suite(u, ctx)

@@ -69,5 +69,9 @@ class InvalidInterval(MemsPlateError):
     """Interval endpoints are out of range or in the wrong order."""
 
 
+class MalformedState(MemsPlateError):
+    """Persisted state misses a column or holds a value that is not a finite number."""
+
+
 class IncompatibleState(MemsPlateError):
     """Persisted state does not match the configuration it is checked against."""

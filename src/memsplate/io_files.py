@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, IncompatibleState
+from .errors import ConfigError, IncompatibleState, MalformedState
 from .fields import FieldGrid, PotentialField
 from .forces import ForceProfile
 from .hermite import PlateGrid, PlateState
@@ -23,6 +23,7 @@ from .minimize import SolverSettings
 from .params import PhysicalParams
 
 __all__ = [
+    "columns_to_csv",
     "write_plate_csv", "read_plate_csv",
     "write_potential_csv",
     "write_force_csv", "write_contact_csv",
@@ -31,67 +32,83 @@ __all__ = [
 ]
 
 
-def _hex(v: float) -> str:
-    return float(v).hex()
+_CSV_CHUNK = 1024  # rows formatted at a time, so the text of a whole psi.csv is never held at once
 
 
-def _fromhex(s: str) -> float:
-    return float.fromhex(s)
+def columns_to_csv(path, header: list, columns: list):
+    """CSV with a header row and one row per entry of the equal-length ``columns``.
+
+    Each column goes through ``np.asarray(...).tolist()``, so floats are written
+    as their shortest repr; a column whose header ends in ``_hex`` is written
+    as hex floats, the exact twin of its decimal column.
+    """
+    columns = [np.asarray(c) for c in columns]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for start in range(0, len(columns[0]), _CSV_CHUNK):
+            part = [c[start:start + _CSV_CHUNK].tolist() for c in columns]
+            w.writerows(zip(*(
+                map(float.hex, col) if name.endswith("_hex") else col for name, col in zip(header, part)
+            )))
 
 
 def write_plate_csv(path, state: PlateState):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "u", "du_dx", "u_hex", "du_dx_hex"])
-        for x, v, s in zip(state.grid.nodes, state.values, state.slopes):
-            w.writerow([repr(float(x)), repr(float(v)), repr(float(s)), _hex(v), _hex(s)])
+    columns_to_csv(path, ["x", "u", "du_dx", "u_hex", "du_dx_hex"], [
+        state.grid.nodes, state.values, state.slopes, state.values, state.slopes,
+    ])
 
 
 def read_plate_csv(path, grid: PlateGrid = None) -> PlateState:
-    xs, vals, slopes = [], [], []
+    """The state of a plate CSV, from its hex columns where a row has them.
+
+    A missing column, a field that does not parse and a non-finite value
+    raise MalformedState.
+    """
     with open(path, newline="") as fh:
         r = csv.DictReader(fh)
-        for row in r:
-            xs.append(float(row["x"]))
-            if "u_hex" in row and row["u_hex"]:
-                vals.append(_fromhex(row["u_hex"]))
-                slopes.append(_fromhex(row["du_dx_hex"]))
-            else:
-                vals.append(float(row["u"]))
-                slopes.append(float(row["du_dx"]))
-    xs = np.array(xs)
+        missing = [col for col in ("x", "u", "du_dx") if col not in (r.fieldnames or [])]
+        if missing:
+            raise MalformedState(f"missing column(s) {', '.join(missing)}")
+        try:
+            rows = [
+                (float(row["x"]), float.fromhex(row["u_hex"]), float.fromhex(row["du_dx_hex"]))
+                if row.get("u_hex") else (float(row["x"]), float(row["u"]), float(row["du_dx"]))
+                for row in r
+            ]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedState(f"line {r.line_num}: {exc!r}") from exc
+    if len(rows) < 2:
+        raise MalformedState(f"{len(rows)} node rows; a plate needs at least 2")
+    data = np.array(rows)
+    if not np.isfinite(data).all():
+        raise MalformedState("non-finite value")
+    xs, vals, slopes = data.T
     if grid is None:
         grid = PlateGrid.from_interval(len(xs) - 1, float(xs[0]), float(xs[-1]))
     else:
         if grid.n_nodes != len(xs) or abs(grid.x_left - xs[0]) > 1e-12 or abs(grid.x_right - xs[-1]) > 1e-12:
             raise IncompatibleState("plate CSV does not match the configured grid")
-    return PlateState.from_nodal(grid, np.array(vals), np.array(slopes))
+    return PlateState.from_nodal(grid, vals, slopes)
 
 
 def write_potential_csv(path, pf: PotentialField, H: float):
-    """Nodal potential in physical coordinates, region-tagged."""
-    z2 = pf.z2_physical(H)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "z", "region", "psi", "psi_hex"])
-        for j, z in enumerate(pf.z1):
-            for i, x in enumerate(pf.x):
-                w.writerow([repr(float(x)), repr(float(z)), 1, repr(float(pf.psi1[j, i])), _hex(pf.psi1[j, i])])
-        for j in range(len(pf.eta)):
-            for i, x in enumerate(pf.x):
-                w.writerow([
-                    repr(float(x)), repr(float(z2[j, i])), 2,
-                    repr(float(pf.psi2[j, i])), _hex(pf.psi2[j, i]),
-                ])
+    """Nodal potential in physical coordinates, region-tagged: the layer rows, then the gap rows."""
+    n_x, n_1, n_2 = len(pf.x), len(pf.z1), len(pf.eta)
+    psi = np.concatenate([pf.psi1.ravel(), pf.psi2.ravel()])
+    columns_to_csv(path, ["x", "z", "region", "psi", "psi_hex"], [
+        np.tile(pf.x, n_1 + n_2),
+        np.concatenate([np.repeat(pf.z1, n_x), pf.z2_physical(H).ravel()]),
+        np.repeat([1, 2], [n_1 * n_x, n_2 * n_x]),
+        psi, psi,
+    ])
 
 
 def write_contact_csv(path, pf: PotentialField):
     gm = pf.gap
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "is_contact", "gamma", "dgamma", "gamma_hex", "dgamma_hex"])
-        for x, c, g, dg in zip(gm.x, gm.contact, gm.gamma, gm.dgamma):
-            w.writerow([repr(float(x)), int(c), repr(float(g)), repr(float(dg)), _hex(g), _hex(dg)])
+    columns_to_csv(path, ["x", "is_contact", "gamma", "dgamma", "gamma_hex", "dgamma_hex"], [
+        gm.x, gm.contact.astype(int), gm.gamma, gm.dgamma, gm.gamma, gm.dgamma,
+    ])
 
 
 def potential_meta(pf: PotentialField) -> dict:
@@ -109,14 +126,10 @@ def potential_meta(pf: PotentialField) -> dict:
 
 
 def write_force_csv(path, gprof: ForceProfile):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "g", "branch", "frak_g", "g_hex", "frak_g_hex"])
-        for x, g, c, fg in zip(gprof.x, gprof.values, gprof.contact, gprof.frak_g):
-            w.writerow([
-                repr(float(x)), repr(float(g)), "contact" if c else "non-contact",
-                repr(float(fg)), _hex(g), _hex(fg),
-            ])
+    columns_to_csv(path, ["x", "g", "branch", "frak_g", "g_hex", "frak_g_hex"], [
+        gprof.x, gprof.values, np.where(gprof.contact, "contact", "non-contact"),
+        gprof.frak_g, gprof.values, gprof.frak_g,
+    ])
 
 
 class _NanSafeEncoder(json.JSONEncoder):

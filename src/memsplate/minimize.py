@@ -470,11 +470,10 @@ def continuation_pipeline(ctx: SolveContext) -> tuple[PlateState, EnergyReport, 
 
     _, dense = u.sample_dense(16)
     sup_u = float(np.max(np.abs(dense)))
-    # constants were certified on deflections up to w_max; a solution outside
-    # that range would invalidate them, so re-derive and flag
+    # the constants are certified on deflections up to w_max, which derive_constants
+    # sets >= 2 max(kappa0, H) unless given one: a state beyond it also fails the
+    # sup bound, so it is flagged and its constants are not re-derived
     within_w_max = sup_u <= c.w_max
-    if not within_w_max:
-        c = derive_constants(ctx.p, ctx.family, w_max=2.0 * max(sup_u, ctx.p.H))
     sub_nodal = float(max(0.0, -(dense.min() + ctx.p.H)))
     bound_ok = sup_u <= c.kappa0 * (1.0 + 1e-12)
     # the descent starts at the rest state, so its first record holds E(0)

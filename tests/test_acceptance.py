@@ -11,13 +11,13 @@ import time
 import numpy as np
 import pytest
 
+from conftest import comparison_bound_battery
 from memsplate import (
     FieldGrid,
     PhysicalParams,
     PlateState,
     build_canonical_boundary_data,
     check_max_principle,
-    comparison_bound_battery,
     compute_force,
     continuation_pipeline,
     directional_derivative_check,

@@ -3,8 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import comparison_bound_battery
 from memsplate import (
-    comparison_bound_battery,
     kappa0_bound,
     kappa0_case_bounds,
     q_profile,

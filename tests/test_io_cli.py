@@ -13,8 +13,9 @@ from memsplate import (
     build_canonical_boundary_data,
 )
 from memsplate.cli import main
-from memsplate.errors import ConfigError
+from memsplate.errors import ConfigError, MalformedState
 from memsplate.io_files import (
+    _CSV_CHUNK,
     parse_config,
     read_plate_csv,
     sha256_of,
@@ -79,6 +80,47 @@ def test_potential_roundtrip_bitwise(tmp_path):
     assert np.array_equal(psi2, pf.psi2)
     assert np.array_equal([float.fromhex(r["gamma_hex"]) for r in cols], pf.gap.gamma)
     assert np.array_equal([r["is_contact"] == "1" for r in cols], pf.contact_mask)
+
+
+def _per_row_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow(row)
+
+
+def test_csv_writers_match_per_row_reference(tmp_path):
+    # the columnar writers against one formatted row per node, as the files were first written
+    p = PhysicalParams(V=2.0)
+    grid = PlateGrid(8, p.L)
+    x = grid.nodes
+    u = PlateState.from_nodal(grid, np.maximum(-1.0, -1.5 + 2.0 * np.abs(x)), np.sin(3.0 * x))
+    # 65 x 34 potential rows: more than two of the writer's chunks
+    pf = FieldSolver(p, build_canonical_boundary_data(p), FieldGrid(64, 16, 16)).solve(u)
+    gm, z2 = pf.gap, pf.z2_physical(p.H)
+    assert gm.contact.any() and not gm.contact.all()
+    assert pf.psi1.size + pf.psi2.size > 2 * _CSV_CHUNK
+    write_plate_csv(tmp_path / "u.csv", u)
+    write_potential_csv(tmp_path / "psi.csv", pf, p.H)
+    write_contact_csv(tmp_path / "contact.csv", pf)
+    _per_row_csv(tmp_path / "u_ref.csv", ["x", "u", "du_dx", "u_hex", "du_dx_hex"], [
+        [repr(float(a)), repr(float(v)), repr(float(s)), float(v).hex(), float(s).hex()]
+        for a, v, s in zip(x, u.values, u.slopes)
+    ])
+    _per_row_csv(tmp_path / "psi_ref.csv", ["x", "z", "region", "psi", "psi_hex"], [
+        [repr(float(a)), repr(float(z)), 1, repr(float(pf.psi1[j, i])), float(pf.psi1[j, i]).hex()]
+        for j, z in enumerate(pf.z1) for i, a in enumerate(pf.x)
+    ] + [
+        [repr(float(a)), repr(float(z2[j, i])), 2, repr(float(pf.psi2[j, i])), float(pf.psi2[j, i]).hex()]
+        for j in range(len(pf.eta)) for i, a in enumerate(pf.x)
+    ])
+    _per_row_csv(tmp_path / "contact_ref.csv", ["x", "is_contact", "gamma", "dgamma", "gamma_hex", "dgamma_hex"], [
+        [repr(float(a)), int(c), repr(float(g)), repr(float(dg)), float(g).hex(), float(dg).hex()]
+        for a, c, g, dg in zip(gm.x, gm.contact, gm.gamma, gm.dgamma)
+    ])
+    for name in ("u", "psi", "contact"):
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_ref.csv").read_bytes(), name
 
 
 def test_config_parsing_and_errors(tmp_path):
@@ -180,6 +222,55 @@ def test_cli_verify_incompatible_state(tmp_path):
     write_plate_csv(tmp_path / "other.csv", other)
     rc = main(["verify", "--config", cfg, "--state", str(tmp_path / "other.csv"), "--out", str(tmp_path / "v3")])
     assert rc == 5
+
+
+def _edited_state_csv(tmp_path, edit):
+    """A zero-state u.csv of the small config with ``edit`` applied to its rows."""
+    path = tmp_path / "u.csv"
+    write_plate_csv(path, PlateState.zero(PlateGrid(16, 1.0)))
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(edit(rows))
+    return path
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(lambda rows: [r[:2] + r[3:] for r in rows], "du_dx", id="missing-column"),
+        pytest.param(lambda rows: rows[:3] + [rows[3][:3] + ["0x1.zz"] + rows[3][4:]] + rows[4:],
+                     "hexadecimal", id="bad-hex"),
+        pytest.param(lambda rows: rows[:3] + [rows[3][:3] + ["nan"] + rows[3][4:]] + rows[4:],
+                     "non-finite", id="nan"),
+    ],
+)
+def test_cli_verify_malformed_state_exits_2(tmp_path, edit, message, caplog):
+    state = _edited_state_csv(tmp_path, edit)
+    with pytest.raises(MalformedState, match=message):
+        read_plate_csv(state)
+    rc = main(["verify", "--config", write_config(tmp_path), "--state", str(state), "--out", str(tmp_path / "v")])
+    assert rc == 2
+    assert f"cannot read state {state}" in caplog.text and message in caplog.text
+
+
+def test_cli_solve_exits_4_beyond_the_certified_range(tmp_path, monkeypatch):
+    # a state above w_max: the certificate keeps the context's constants and solve fails
+    import memsplate.minimize
+
+    descend = memsplate.minimize.minimize_Ek
+
+    def beyond_w_max(u0, k, ctx):
+        u, report = descend(u0, k, ctx)
+        return PlateState.constant(u.grid, 2.0 * ctx.constants.w_max), report
+
+    monkeypatch.setattr(memsplate.minimize, "minimize_Ek", beyond_w_max)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_config(tmp_path), "--out", str(out)]) == 4
+    cert = json.loads((out / "certificate.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert not cert["within_certified_range"] and not cert["bound_pass"]
+    assert cert["constants"] == manifest["constants"]
 
 
 def test_cli_sweep_single_zero_point(tmp_path):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -120,23 +122,67 @@ def test_run_suite_maps_the_gap_once(ctx, solved, monkeypatch):
     assert len(calls) == 1
 
 
-def test_run_suite_checks_this_devices_comparison_problems(monkeypatch):
-    # every comparison solve of the mandatory check is at the device's own tension and G0
+def _comparison_calls(monkeypatch, u, ctx):
+    """The (a, b, tau, G0) of every comparison solve of run_suite, and its report."""
     import memsplate.verify
 
-    tctx = make_context(PhysicalParams(V=2.0, tau=0.5), n_elems=16, field_grid=FieldGrid(16, 8, 8))
     calls = []
     solve = memsplate.verify.solve_comparison_bvp
 
     def recording(a, b, G0, beta, tau, L, H, **kw):
-        calls.append((tau, G0))
+        calls.append((a, b, tau, G0))
         return solve(a, b, G0, beta, tau, L, H, **kw)
 
     monkeypatch.setattr(memsplate.verify, "solve_comparison_bvp", recording)
-    rep = run_suite(PlateState.zero(tctx.plate), tctx)
-    assert calls and all(c == (tctx.p.tau, tctx.constants.G0) for c in calls)
-    by_name = {c["name"]: c for c in rep["checks"]}
-    assert by_name["comparison_bounds"]["pass"]
+    rep = run_suite(u, ctx)
+    return calls, {c["name"]: c for c in rep["checks"]}["comparison_bounds"]
+
+
+def test_run_suite_checks_this_devices_comparison_problems(monkeypatch):
+    # a contact-free state is one free interval, solved at the device's own tension and G0
+    tctx = make_context(PhysicalParams(V=2.0, tau=0.5), n_elems=16, field_grid=FieldGrid(16, 8, 8))
+    calls, rec = _comparison_calls(monkeypatch, PlateState.zero(tctx.plate), tctx)
+    assert calls == [(-1.0, 1.0, tctx.p.tau, tctx.constants.G0)]
+    assert rec["cases"] == ["full"] and rec["kappa0"] == tctx.constants.kappa0
+    assert rec["pass"] and rec["worst_ratio"] == rec["max_abs"][0] / rec["kappa0"]
+
+
+def test_comparison_bounds_solves_each_free_interval(ctx, monkeypatch):
+    g = ctx.plate
+    x = g.nodes
+    # one contact interval: the free intervals run from each clamped end to it
+    vals = np.maximum(-1.0, -2.0 + 4.0 * np.abs(x))
+    hat = PlateState.from_nodal(g, vals, np.zeros(g.n_nodes))
+    contact = np.nonzero(vals <= -1.0)[0]
+    calls, rec = _comparison_calls(monkeypatch, hat, ctx)
+    assert [c[:2] for c in calls] == [(x[0], x[contact[0]]), (x[contact[-1]], x[-1])]
+    assert rec["cases"] == ["touches_left", "touches_right"] and rec["pass"]
+    # two contact islands: an interior free interval between them
+    vals = np.zeros(g.n_nodes)
+    vals[[5, 20]] = -1.0
+    islands = PlateState.from_nodal(g, vals, np.zeros(g.n_nodes))
+    calls, rec = _comparison_calls(monkeypatch, islands, ctx)
+    assert [c[:2] for c in calls] == [(x[0], x[5]), (x[5], x[20]), (x[20], x[-1])]
+    assert rec["cases"] == ["touches_left", "interior", "touches_right"] and rec["pass"]
+    assert rec["intervals"] == [list(c[:2]) for c in calls]
+
+
+def test_comparison_bounds_fails_above_kappa0(ctx, monkeypatch):
+    import memsplate.verify
+
+    big = SimpleNamespace(a=-1.0, b=1.0, case_tag="full", max_abs=2.0 * ctx.constants.kappa0)
+    monkeypatch.setattr(memsplate.verify, "solve_comparison_bvp", lambda *a, **k: big)
+    rep = run_suite(PlateState.zero(ctx.plate), ctx)
+    rec = {c["name"]: c for c in rep["checks"]}["comparison_bounds"]
+    assert not rec["pass"] and rec["worst_ratio"] == 2.0 and not rep["mandatory_pass"]
+
+
+def test_verify_draws_no_random_numbers():
+    import inspect
+
+    import memsplate.verify
+
+    assert "random" not in inspect.getsource(memsplate.verify)
 
 
 def test_run_suite_detects_infeasible_state(ctx):
