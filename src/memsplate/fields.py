@@ -13,7 +13,10 @@ whose determinant is 1, so ellipticity is uniform while the geometry moves
 with the plate.  Both subdomains are discretized with bilinear elements on
 tensor grids (a second-order nine-point stencil); sharing the interface row
 makes the discrete operator symmetric and balances the normal flux
-sigma dz(psi) across the interface to the order of the scheme.
+sigma dz(psi) across the interface to the order of the scheme.  Only the gap
+moves with the plate: the layer interior is factored and eliminated onto the
+interface row once per layer and process, so each solve factors (or iterates
+on) the interface row and the gap interior alone.
 
 The plate height is floored at the contact threshold eps: the field sees
 w(u) = u down to -H + 2 eps and below that a C2 blend reaching eps - H at
@@ -97,6 +100,8 @@ _PACKED = np.maximum(_PACKED, _PACKED.T)
 
 # CG iterations on a held factor before a solve factors afresh instead
 _PCG_MAXIT = 12
+# interface columns eliminated per multi-right-hand-side layer solve
+_LAYER_CHUNK = 16
 
 
 def _add_elements(stencil: np.ndarray, ke: np.ndarray) -> None:
@@ -123,6 +128,117 @@ def _nine_point_pattern(nr: int, nc: int):
     indices = np.broadcast_to(r * nc + c, keep.shape)[keep].astype(np.int32)
     indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=(2, 3)).ravel()))).astype(np.int32)
     return keep, indices, indptr
+
+
+def _gap_block_pattern(nr: int, nc: int):
+    """CSR pattern of a nine-point stencil on an nr x nc grid plus a dense block on its first row.
+
+    Returns (keep, indices, indptr, nine, dense): ``keep`` as in
+    ``_nine_point_pattern``, and where the pattern holds the stencil's entries
+    (in ``keep`` order) and the dense block's (row-major).
+    """
+    keep, indices, indptr = _nine_point_pattern(nr, nc)
+    head = indptr[nc]  # the first row's stencil entries
+    c = np.arange(nc)
+    lo, hi = np.maximum(c - 1, 0), np.minimum(c + 1, nc - 1)  # each first-row node's second-row neighbors
+    # a first row holds every first-row column, then its second-row neighbors
+    ptr = np.concatenate(([0], np.cumsum(nc + hi - lo + 1)))
+    rows, cols = np.repeat(c, np.diff(indptr[:nc + 1])), indices[:head]
+    nine = ptr[rows] + np.where(cols < nc, cols, cols - lo[rows])
+    dense = (ptr[:-1, None] + c).ravel()
+    first = np.empty(ptr[-1], np.int32)
+    first[dense] = np.tile(c, nc)
+    first[nine] = cols
+    shift = ptr[-1] - head  # the later rows keep their stencil entries, moved by this
+    return (
+        keep,
+        np.concatenate([first, indices[head:]]),
+        np.concatenate([ptr[:-1], indptr[nc:] + shift]).astype(np.int32),
+        np.concatenate([nine, np.arange(head, indices.size) + shift]),
+        dense,
+    )
+
+
+def _apply(inner: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The free nodes' stencil rows applied to a node grid, summed in (dz, dx) order as a CSR row is."""
+    ni, nj = inner.shape[:2]
+    out = np.zeros((ni, nj))
+    for dz in range(3):
+        for dx in range(3):
+            out += inner[:, :, dz, dx] * nodes[dz:dz + ni, dx:dx + nj]
+    return out
+
+
+def _factor(A: sp.csr_matrix):
+    """SuperLU factor of a symmetric block."""
+    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+
+
+@dataclass(frozen=True)
+class _Layer:
+    """The layer interior, factored once and eliminated onto the interface row above it.
+
+    With the free nodes split into the layer interior L and the interface
+    row plus the gap interior, the layer enters the rest only through the
+    interface row I: the condensed block is the gap block less
+    ``correction`` = A_IL A_LL^-1 A_LI on I x I, its right-hand side loses
+    A_IL A_LL^-1 b_L on I, and the layer values are A_LL^-1 (b_L - A_LI x_I).
+    """
+
+    rows: np.ndarray          # layer stencil on the interior rows 1..n_z1-1 it was built from
+    lu: object                # SuperLU factor of A_LL
+    coupling: sp.csr_matrix   # the last layer row's couplings to I: A_LI's nonzero rows
+    correction: np.ndarray    # A_IL A_LL^-1 A_LI, symmetrized, (n_x-1, n_x-1)
+    edge: np.ndarray          # layer nodes next to the pinned ring, where b_L can be nonzero
+    edge_map: np.ndarray      # (A_LL^-1 A_LI)[edge]^T: A_IL A_LL^-1 b_L = edge_map @ b_L[edge] by symmetry
+
+    @classmethod
+    def build(cls, rows: np.ndarray) -> "_Layer":
+        nl, nj = rows.shape[:2]
+        keep, indices, indptr = _nine_point_pattern(nl, nj)
+        lu = _factor(sp.csr_matrix((rows[keep], indices, indptr), shape=(nl * nj, nl * nj)))
+        top = rows[-1, :, 2]  # dx = -1, 0, +1 onto the interface row above
+        coupling = sp.diags([top[1:, 0], top[:, 1], top[:-1, 2]], [-1, 0, 1], format="csr")
+        edge = np.zeros((nl, nj), bool)
+        edge[0] = edge[:, 0] = edge[:, -1] = True
+        edge = np.flatnonzero(edge)
+        correction, edge_map = np.empty((nj, nj)), np.empty((nj, edge.size))
+        # A_LL^-1 A_LI a few columns at a time: one dense n_L x n_x block would
+        # cost more memory and, under a threaded BLAS, more time
+        for j in range(0, nj, _LAYER_CHUNK):
+            cols = slice(j, j + _LAYER_CHUNK)
+            block = coupling[:, cols].toarray()
+            rhs = np.zeros((nl * nj, block.shape[1]))
+            rhs[-nj:] = block
+            Z = lu.solve(rhs)
+            correction[:, cols] = coupling.T @ Z[-nj:]
+            edge_map[cols] = Z[edge].T
+        return cls(rows.copy(), lu, coupling, 0.5 * (correction + correction.T), edge, edge_map)
+
+    def load(self, b_layer: np.ndarray) -> np.ndarray:
+        """What the layer's right-hand side puts on the interface row: A_IL A_LL^-1 b_L."""
+        return self.edge_map @ b_layer[self.edge]
+
+    def recover(self, b_layer: np.ndarray, x_interface: np.ndarray) -> np.ndarray:
+        """The layer values A_LL^-1 (b_L - A_LI x_I)."""
+        r = b_layer.copy()
+        r[-x_interface.size:] -= self.coupling @ x_interface
+        return self.lu.solve(r)
+
+
+# the most recent layer condensation.  An entry is never modified, only
+# replaced, and a solve keeps the one it read: threads that miss together
+# each build an equal entry and the last one stays.
+_LAYER = None
+
+
+def _condensed_layer(rows: np.ndarray) -> _Layer:
+    """The layer condensation of these layer stencil rows, built on a miss and kept until the next."""
+    global _LAYER
+    layer = _LAYER
+    if layer is None or not np.array_equal(layer.rows, rows):
+        layer = _LAYER = _Layer.build(rows)
+    return layer
 
 
 def _corners(arr: np.ndarray) -> np.ndarray:
@@ -177,8 +293,9 @@ class PotentialField:
     bottom_trace_dz1: np.ndarray     # dz(psi1) at z = -H, per column
     boundary_inf: float
     boundary_sup: float
-    residual: float                  # ||A x - b|| of the free-node solve
-    factor: object = None            # SuperLU factor of the free block, for reuse on a nearby state
+    residual: float                  # ||A x - b|| of the whole free-node system
+    cg_iterations: int = 0           # CG iterations on a held factor, also when CG then missed tol_lin
+    factor: object = None            # SuperLU factor of the condensed gap block, for reuse on a nearby state
 
     @property
     def contact_mask(self) -> np.ndarray:
@@ -196,13 +313,19 @@ class FieldSolver:
     one (n_z1+n_z2+1) x (n_x+1) tensor grid on which the operator is a
     nine-point stencil.  The pinned nodes are the grid's boundary ring
     (electrode, side walls, plate), so the unknowns are its interior.  The
-    CSR pattern of the interior block and the state-independent layer
-    stencil are built once per (params, grid); only the gap stencil's values
-    are recomputed per state.
+    layer interior does not move with the plate: it is factored and
+    eliminated onto the interface row once per layer (``_Layer``), and a
+    solve factors or iterates on the gap-plus-interface block alone, then
+    recovers the layer values with one solve on the layer factor.  The
+    layer stencil and the CSR pattern of the condensed block are built once
+    per (params, grid); only the gap stencil's values are recomputed per
+    state.
 
     The instance holds only this state-independent structure and no method
     modifies it: every per-state quantity lives in the returned GapMap and
-    PotentialField.
+    PotentialField.  The layer condensation is kept process-wide, keyed on
+    the layer stencil, so every solver of the same layer (a sweep's points,
+    repeated solves) shares it; only the most recent one is kept.
     """
 
     def __init__(
@@ -233,12 +356,14 @@ class FieldSolver:
         # flatten to q = 2*qz + qx, matching the shape-table ordering
         self._sigma1_q = p.sigma1_at(self._xq[None, :, None, :], zq[:, None, :, None]).reshape(-1, 4)
 
-        # the pinned nodes are the grid's boundary ring; the free block couples
-        # the interior nodes, numbered row-major
+        # the pinned nodes are the grid's boundary ring and the free nodes its
+        # interior, numbered row-major: the layer interior, then the interface
+        # row and the gap interior, whose block holds the dense layer correction
         nr, nc = nz1 + nz2 + 1, nx + 1
-        self._in_block, self._indices, self._indptr = _nine_point_pattern(nr - 2, nc - 2)
+        self._gap_pattern = _gap_block_pattern(nz2, nc - 2)
         self._layer_stencil = np.zeros((nr, nc, 3, 3))
         _add_elements(self._layer_stencil, self._assemble_layer())
+        self._layer_rows = self._layer_stencil[1:nz1, 1:-1]
 
         # packed gap element matrix per unit coefficient gamma, -eta gamma' and
         # (1 + (eta gamma')^2) / gamma at each Gauss point: [coefficient, qz, qx, entry]
@@ -323,56 +448,75 @@ class FieldSolver:
         return vals
 
     def _free_system(self, gm: GapMap):
-        """Free block, its right-hand side, and the node grid holding the pinned values."""
-        inner = self._stencil(gm)[1:-1, 1:-1]  # the free nodes' rows
-        ni, nj = inner.shape[:2]
-        A = sp.csr_matrix((inner[self._in_block], self._indices, self._indptr), shape=(ni * nj, ni * nj))
-        # load of the pinned neighbors, summed in (dz, dx) order as a CSR row is
+        """The free nodes' stencil rows, their right-hand side, and the node grid holding the pinned values."""
+        inner = self._stencil(gm)[1:-1, 1:-1]
         nodes = self._dirichlet(gm)
-        load = np.zeros((ni, nj))
-        for dz in range(3):
-            for dx in range(3):
-                load += inner[:, :, dz, dx] * nodes[dz:dz + ni, dx:dx + nj]
-        return A, -load.ravel(), nodes
+        # the load of the pinned neighbors
+        return inner, -_apply(inner, nodes).ravel(), nodes
+
+    def _condensed_system(self, inner: np.ndarray, rhs: np.ndarray, layer: _Layer):
+        """The interface-plus-gap block with the layer eliminated, and its right-hand side."""
+        keep, indices, indptr, nine, dense = self._gap_pattern
+        nl, nj = self.grid.n_z1 - 1, self.grid.n_x - 1
+        data = np.zeros(indices.size)
+        data[nine] = inner[nl:][keep]
+        data[dense] -= layer.correction.ravel()
+        rhs_c = rhs[nl * nj:].copy()
+        rhs_c[:nj] -= layer.load(rhs[:nl * nj])
+        n = rhs_c.size
+        return sp.csr_matrix((data, indices, indptr), shape=(n, n)), rhs_c
 
     # -- solve ---------------------------------------------------------------
 
     def solve(self, u: PlateState, factor=None) -> PotentialField:
         """Solve the transmission problem for one plate state.
 
-        Given the ``factor`` of an earlier solve (the free nodes are the same
-        for every state), the free block is solved by CG preconditioned with
-        that factor.  Without one, or when CG misses ``tol_lin`` within
-        ``_PCG_MAXIT`` iterations, the block is factored afresh.  The returned
-        field carries the factor that was used.
+        The layer is eliminated (see ``_Layer``) and the condensed block of
+        the interface row and the gap is solved.  Given the ``factor`` of an
+        earlier solve (the free nodes are the same for every state), it is
+        solved by CG preconditioned with that factor.  Without one, or when CG
+        misses ``tol_lin`` within ``_PCG_MAXIT`` iterations, the block is
+        factored afresh.  The returned field carries the factor that was used
+        and the residual of the whole free system.
         """
         if self.grid.n_x % u.grid.n_elems != 0:
             raise ValueError("field n_x must be a multiple of the plate element count")
         gm = self.gap_map(u)
-        Aff, rhs, nodes = self._free_system(gm)
+        inner, rhs, nodes = self._free_system(gm)
         rhs_norm = float(np.linalg.norm(rhs))
+        cg_steps = []  # one entry per CG iteration
         if rhs_norm == 0.0:
-            x = np.zeros(rhs.size)
             res = 0.0
         else:
-            x = None
+            layer = _condensed_layer(self._layer_rows)
+            S, rhs_c = self._condensed_system(inner, rhs, layer)
+            nl, nj = self.grid.n_z1 - 1, self.grid.n_x - 1
+
+            def residual(x):
+                """Write x and the layer values it implies into nodes; ||A x - b|| of the free system."""
+                nodes[nl + 1:-1, 1:-1] = x.reshape(-1, nj)
+                nodes[1:nl + 1, 1:-1] = layer.recover(rhs[:nl * nj], x[:nj]).reshape(nl, nj)
+                return float(np.linalg.norm(_apply(inner, nodes)))
+
+            res = None
             if factor is not None:
-                pre = spla.LinearOperator(Aff.shape, matvec=factor.solve, dtype=float)
-                x, info = spla.cg(Aff, rhs, rtol=self.tol_lin, maxiter=_PCG_MAXIT, M=pre)
-                res = float(np.linalg.norm(Aff @ x - rhs))
+                # the same absolute tolerance as on the whole free system: the
+                # condensed residual is its residual once the layer is recovered
+                pre = spla.LinearOperator(S.shape, matvec=factor.solve, dtype=float)
+                x, info = spla.cg(S, rhs_c, rtol=0.0, atol=self.tol_lin * rhs_norm, maxiter=_PCG_MAXIT,
+                                  M=pre, callback=cg_steps.append)
+                res = residual(x)
                 if info != 0 or not res <= self.tol_lin * rhs_norm:
-                    x = None
-            if x is None:
-                factor = spla.splu(Aff.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
-                x = factor.solve(rhs)
-                res = float(np.linalg.norm(Aff @ x - rhs))
+                    res = None
+            if res is None:
+                factor = _factor(S)
+                res = residual(factor.solve(rhs_c))
             if not np.isfinite(res) or res > max(10.0 * self.tol_lin, 1e-8) * rhs_norm:
                 raise LinearSolveFailed(f"linear solve residual {res:.3e} vs rhs {rhs_norm:.3e}")
 
-        nodes[1:-1, 1:-1] = x.reshape(nodes[1:-1, 1:-1].shape)
-        return self._package(gm, nodes, res, factor)
+        return self._package(gm, nodes, res, len(cg_steps), factor)
 
-    def _package(self, gm, nodes, res, factor) -> PotentialField:
+    def _package(self, gm, nodes, res, cg_iterations, factor) -> PotentialField:
         p, hz1, he = self.p, self.hz1, self.heta
         psi1, psi2 = nodes[:self.grid.n_z1 + 1], nodes[self.grid.n_z1:]
         # the pinned ring in row-major order: electrode row, both walls row by row, plate row
@@ -389,7 +533,7 @@ class FieldSolver:
             top_trace_dz=dtop,
             bottom_trace_dz1=d1,
             boundary_inf=float(ring.min()), boundary_sup=float(ring.max()),
-            residual=res, factor=factor,
+            residual=res, cg_iterations=cg_iterations, factor=factor,
         )
 
     # -- energies --------------------------------------------------------------

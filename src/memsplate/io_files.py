@@ -38,19 +38,18 @@ _CSV_CHUNK = 1024  # rows formatted at a time, so the text of a whole psi.csv is
 def columns_to_csv(path, header: list, columns: list):
     """CSV with a header row and one row per entry of the equal-length ``columns``.
 
-    Each column goes through ``np.asarray(...).tolist()``, so floats are written
-    as their shortest repr; a column whose header ends in ``_hex`` is written
-    as hex floats, the exact twin of its decimal column.
+    Each column goes through ``np.asarray(...).tolist()`` and ``str``, so floats
+    are written as their shortest repr; a column whose header ends in ``_hex``
+    is written as hex floats, the exact twin of its decimal column.  Rows end
+    in ``\\r\\n``, as ``csv.writer`` ends them; no field needs quoting.
     """
     columns = [np.asarray(c) for c in columns]
+    formats = [float.hex if name.endswith("_hex") else str for name in header]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for start in range(0, len(columns[0]), _CSV_CHUNK):
-            part = [c[start:start + _CSV_CHUNK].tolist() for c in columns]
-            w.writerows(zip(*(
-                map(float.hex, col) if name.endswith("_hex") else col for name, col in zip(header, part)
-            )))
+            fields = [map(fmt, c[start:start + _CSV_CHUNK].tolist()) for fmt, c in zip(formats, columns)]
+            fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 
 def write_plate_csv(path, state: PlateState):

@@ -352,13 +352,13 @@ def minimize_Ek(
     for it in range(1, st.max_outer + 1):
         cert = cert if cert is not None else _certify(ctx, u, ev)
         r, vi, tol = cert["r"], cert["vi"], cert["tol"]
-        # ls_trials and factorizations count what leaving this iterate costs
+        # ls_trials, factorizations and cg_iterations count what leaving this iterate costs
         rec = {
             "iter": it - 1, "E_m": ev["E_m"], "E_e": ev["E_e"], "E_k": ev["E_k"],
             "step": step, "vi_residual": vi, "trace_residual": cert["trace"],
             "lin_residual": ev["pf"].residual,
             "n_contact_nodes": int(np.sum(cert["force"].contact)),
-            "ls_trials": 0, "factorizations": 0,
+            "ls_trials": 0, "factorizations": 0, "cg_iterations": 0,
         }
         trajectory.append(rec)
         if vi <= tol:
@@ -396,6 +396,7 @@ def minimize_Ek(
             ev_t = _evaluate(ctx, trial, k, held)
             rec["ls_trials"] += 1
             rec["factorizations"] += int(ev_t["pf"].factor is not held)
+            rec["cg_iterations"] += ev_t["pf"].cg_iterations
             delta = ev_t["E_k"] - ev["E_k"]
             pred = float(r @ (trial.dofs - u.dofs))
             armijo = delta <= _ARMIJO_C1 * pred if pred < 0.0 else delta < 0.0

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounds import solve_comparison_bvp
 from .fields import check_max_principle, contact_threshold
-from .hermite import PlateState, project_obstacle
+from .hermite import PlateState, clamped_dof_indices, project_obstacle
 from .minimize import SolveContext, energy_total
 
 __all__ = [
@@ -95,6 +95,8 @@ def run_suite(u: PlateState, ctx: SolveContext, k: float = None) -> dict:
     k = max(c.kappa0, p.H) if k is None else k
 
     feas_violation = float(max(0.0, -(u.values.min() + p.H)))
+    # u(-L) = u'(-L) = u(L) = u'(L) = 0 belong to the admissible set; solver states hold them exactly
+    clamped_violation = float(np.max(np.abs(u.dofs[clamped_dof_indices(u.grid)])))
     _, dense = u.sample_dense(16)
     sub_nodal = float(max(0.0, -(dense.min() + p.H)))
     # field checks need an admissible state; an infeasible input already fails
@@ -110,7 +112,8 @@ def run_suite(u: PlateState, ctx: SolveContext, k: float = None) -> dict:
         return {
             "nodal_violation": feas_violation,
             "sub_nodal_violation": sub_nodal,
-            "pass": bool(feas_violation <= 1e-12 * max(1.0, p.H)),
+            "clamped_violation": clamped_violation,
+            "pass": bool(feas_violation <= 1e-12 * max(1.0, p.H) and clamped_violation == 0.0),
         }
 
     def chk_force_floor():

@@ -35,6 +35,28 @@ def all_node_operator(solver, gm):
     return sp.csr_matrix((stencil[keep], indices, indptr), shape=(n, n))
 
 
+def free_block(solver, gm):
+    """The whole free system as the solver sets it up: CSR block of its stencil rows, right-hand side, pinned grid."""
+    inner, rhs, nodes = solver._free_system(gm)
+    keep, indices, indptr = _nine_point_pattern(*inner.shape[:2])
+    n = indptr.size - 1
+    return sp.csr_matrix((inner[keep], indices, indptr), shape=(n, n)), rhs, nodes
+
+
+def condensed_block(solver, gm):
+    """The solver's interface-plus-gap block with the layer eliminated, and its right-hand side."""
+    inner, rhs, _ = solver._free_system(gm)
+    return solver._condensed_system(inner, rhs, memsplate.fields._condensed_layer(solver._layer_rows))
+
+
+def schur_reference(Aff, rhs, n_layer):
+    """Dense elimination of the first n_layer free unknowns: the condensed block and right-hand side."""
+    A = Aff.toarray()
+    L, R = slice(None, n_layer), slice(n_layer, None)
+    Z = np.linalg.solve(A[L, L], np.column_stack([A[L, R], rhs[L]]))
+    return A[R, R] - A[R, L] @ Z[:, :-1], rhs[R] - A[R, L] @ Z[:, -1]
+
+
 def flat_exact_arrays(solver, fam, c, H):
     psi1 = fam.h1(solver.x[None, :], solver.z1[:, None], c)
     z2 = -H + solver.eta[:, None] * (c + H)
@@ -163,8 +185,10 @@ def test_assembled_operator_is_symmetric(setup):
     gm = solver.gap_map(u)
     A = all_node_operator(solver, gm)
     assert (A - A.T).nnz == 0
-    Aff = solver._free_system(gm)[0]
+    Aff = free_block(solver, gm)[0]
     assert (Aff - Aff.T).nnz == 0
+    S = condensed_block(solver, gm)[0]
+    assert (S - S.T).nnz == 0
 
 
 def test_energy_equals_matrix_quadratic_form(setup):
@@ -197,6 +221,9 @@ def test_linear_solve_failure_raises(setup, monkeypatch):
     # CG on a held factor missed tol_lin
     p, fam, grid, solver = setup
     u = PlateState.constant(grid, 0.0)
+    # the layer is factored on its first solve; solving once first keeps that
+    # factorization out of the count below, whatever ran before
+    solver.solve(u)
 
     class WrongLU:
         def solve(self, rhs):
@@ -296,8 +323,8 @@ def coo_reference_operator(solver, gm):
     return sp.coo_matrix((np.concatenate(vals).ravel(), (rows, cols)), shape=(idx.size, idx.size)).tocsr()
 
 
-@pytest.mark.parametrize("varying_layer", [False, True])
-def test_fixed_pattern_operator_matches_coo_assembly(varying_layer):
+def layer_device(varying_layer):
+    """A solver with a constant or a varying layer, and a flat, a deflected and a contact state."""
     if varying_layer:
         p = PhysicalParams(V=2.0, sigma1=lambda x, z: 1.0 + 0.3 * np.cos(x) + 0.2 * z)
         fgrid = FieldGrid(32, 12, 8)
@@ -316,23 +343,37 @@ def test_fixed_pattern_operator_matches_coo_assembly(varying_layer):
                                lambda x: 2 * p.H * np.pi * np.cos(np.pi * x / 2) ** 3
                                * np.sin(np.pi * x / 2)),
     }
+    return p, fgrid, solver, states
+
+
+@pytest.mark.parametrize("varying_layer", [False, True])
+def test_fixed_pattern_operator_matches_coo_assembly(varying_layer):
+    p, fgrid, solver, states = layer_device(varying_layer)
     # the free nodes are the interior of the node grid, numbered row-major
     interior = node_numbers(solver)[1:-1, 1:-1].ravel()
-    nnz, nnz_free = set(), set()
+    nnz, nnz_free, nnz_condensed = set(), set(), set()
     for name, u in states.items():
         gm = solver.gap_map(u)
         assert (name == "contact") == bool(gm.contact.any())
         A = all_node_operator(solver, gm)
         ref = coo_reference_operator(solver, gm)
         assert abs(A - ref).max() <= 1e-13 * abs(ref).max(), name
-        Aff = solver._free_system(gm)[0]
+        Aff, rhs, _ = free_block(solver, gm)
         assert abs(Aff - ref[interior][:, interior]).max() <= 1e-13 * abs(ref).max(), name
+        # the condensed block is the layer's Schur complement in the free block
+        S, rhs_c = condensed_block(solver, gm)
+        S_ref, rhs_ref = schur_reference(ref[interior][:, interior], rhs, (fgrid.n_z1 - 1) * (fgrid.n_x - 1))
+        assert np.max(np.abs(S.toarray() - S_ref)) <= 1e-13 * abs(ref).max(), name
+        assert np.max(np.abs(rhs_c - rhs_ref)) <= 1e-13 * np.max(np.abs(rhs)), name
         nnz.add(A.nnz)
         nnz_free.add(Aff.nnz)
+        nnz_condensed.add(S.nnz)
     # one pattern for every state
     nr, nc = fgrid.n_z1 + fgrid.n_z2 + 1, fgrid.n_x + 1
     assert nnz == {(3 * nr - 2) * (3 * nc - 2)}
     assert nnz_free == {(3 * nr - 8) * (3 * nc - 8)}
+    # the gap interior and the interface row: nine-point, with a dense interface block
+    assert nnz_condensed == {(3 * fgrid.n_z2 - 2) * (3 * nc - 8) + (nc - 2) ** 2 - (3 * nc - 8)}
 
 
 def test_held_factor_solve_matches_direct(setup):
@@ -352,7 +393,7 @@ def test_held_factor_solve_matches_direct(setup):
     free = node_numbers(solver)[1:-1, 1:-1].ravel()
     rhs = -(A @ pinned)[free]
     Aff = A[free][:, free]
-    Aff_solver, rhs_solver, _ = solver._free_system(gm)
+    Aff_solver, rhs_solver, _ = free_block(solver, gm)
     assert np.array_equal(rhs_solver, rhs)
     assert abs(Aff_solver - Aff).max() == 0.0
     assert 0.0 < pf.residual <= solver.tol_lin * np.linalg.norm(rhs)
@@ -382,6 +423,59 @@ def test_held_factor_is_never_probed_with_a_zero_vector(setup):
     held = CountingLU()
     assert solver.solve(f(0.33), factor=held).factor is held
     assert seen and all(seen)
+
+
+@pytest.mark.parametrize("varying_layer", [False, True])
+def test_condensed_solve_matches_the_whole_free_block(varying_layer):
+    # eliminating the layer changes how the free system is solved, not its
+    # solution: a direct solve matches the whole free block's, and the
+    # reported residual is that block's on both paths
+    p, fgrid, solver, states = layer_device(varying_layer)
+    free = node_numbers(solver)[1:-1, 1:-1].ravel()
+    for name, u in states.items():
+        held = solver.solve(PlateState(u.grid, 0.995 * u.dofs)).factor
+        gm = solver.gap_map(u)
+        A = all_node_operator(solver, gm)
+        Aff = A[free][:, free]
+        rhs = -(A @ solver._dirichlet(gm).ravel())[free]
+        x_ref = spla.spsolve(Aff.tocsc(), rhs)
+        direct, iterated = solver.solve(u), solver.solve(u, factor=held)
+        assert direct.cg_iterations == 0 and iterated.cg_iterations >= 1, name
+        assert iterated.factor is held, name
+        for pf in (direct, iterated):
+            x = np.concatenate([pf.psi1, pf.psi2[1:]]).ravel()[free]
+            rounding = 1e-14 * np.linalg.norm(abs(Aff) @ abs(x) + abs(rhs))
+            assert abs(pf.residual - np.linalg.norm(Aff @ x - rhs)) <= rounding, name
+        x = np.concatenate([direct.psi1, direct.psi2[1:]]).ravel()[free]
+        assert np.max(np.abs(x - x_ref)) <= 1e-13 * np.max(np.abs(x_ref)), name
+        assert direct.residual <= 1e-13 * np.linalg.norm(rhs), name
+
+
+def test_layer_is_condensed_once_per_layer(monkeypatch):
+    # the condensation depends on the layer's stencil alone: solvers at another
+    # voltage or gap permittivity share it, a thicker or finer layer does not,
+    # and only the most recent one is kept
+    monkeypatch.setattr(memsplate.fields, "_LAYER", None)
+    u = PlateState.zero(PlateGrid(16, 1.0))
+
+    def layer_of(p, fgrid):
+        FieldSolver(p, build_canonical_boundary_data(p), fgrid).solve(u)
+        return memsplate.fields._LAYER
+
+    base = layer_of(PhysicalParams(V=2.0), FieldGrid(16, 8, 8))
+    assert base is not None
+    assert layer_of(PhysicalParams(V=5.0), FieldGrid(16, 8, 8)) is base
+    assert layer_of(PhysicalParams(V=2.0, sigma2=3.0), FieldGrid(16, 8, 8)) is base
+    assert layer_of(PhysicalParams(V=2.0), FieldGrid(16, 8, 12)) is base
+    thicker = layer_of(PhysicalParams(V=2.0, d=2.0), FieldGrid(16, 8, 8))
+    finer = layer_of(PhysicalParams(V=2.0), FieldGrid(16, 12, 8))
+    assert thicker is not base and finer is not base and finer is not thicker
+    again = layer_of(PhysicalParams(V=2.0), FieldGrid(16, 8, 8))
+    assert again is not base and np.array_equal(again.correction, base.correction)
+    # building a solver condenses nothing; its first solve does
+    thickest = PhysicalParams(V=2.0, d=3.0)
+    FieldSolver(thickest, build_canonical_boundary_data(thickest), FieldGrid(16, 8, 8))
+    assert memsplate.fields._LAYER is again
 
 
 @pytest.mark.parametrize("state", ["contact-free", "contact", "varying-potential"])

@@ -11,6 +11,7 @@ from memsplate import (
     PlateGrid,
     PlateState,
     build_canonical_boundary_data,
+    compute_force,
 )
 from memsplate.cli import main
 from memsplate.errors import ConfigError, MalformedState
@@ -20,6 +21,7 @@ from memsplate.io_files import (
     read_plate_csv,
     sha256_of,
     write_contact_csv,
+    write_force_csv,
     write_plate_csv,
     write_potential_csv,
 )
@@ -97,13 +99,17 @@ def test_csv_writers_match_per_row_reference(tmp_path):
     x = grid.nodes
     u = PlateState.from_nodal(grid, np.maximum(-1.0, -1.5 + 2.0 * np.abs(x)), np.sin(3.0 * x))
     # 65 x 34 potential rows: more than two of the writer's chunks
-    pf = FieldSolver(p, build_canonical_boundary_data(p), FieldGrid(64, 16, 16)).solve(u)
+    family = build_canonical_boundary_data(p)
+    pf = FieldSolver(p, family, FieldGrid(64, 16, 16)).solve(u)
     gm, z2 = pf.gap, pf.z2_physical(p.H)
+    g = compute_force(u, pf, family, p)
     assert gm.contact.any() and not gm.contact.all()
+    assert g.contact.any() and not g.contact.all()
     assert pf.psi1.size + pf.psi2.size > 2 * _CSV_CHUNK
     write_plate_csv(tmp_path / "u.csv", u)
     write_potential_csv(tmp_path / "psi.csv", pf, p.H)
     write_contact_csv(tmp_path / "contact.csv", pf)
+    write_force_csv(tmp_path / "g.csv", g)
     _per_row_csv(tmp_path / "u_ref.csv", ["x", "u", "du_dx", "u_hex", "du_dx_hex"], [
         [repr(float(a)), repr(float(v)), repr(float(s)), float(v).hex(), float(s).hex()]
         for a, v, s in zip(x, u.values, u.slopes)
@@ -119,7 +125,12 @@ def test_csv_writers_match_per_row_reference(tmp_path):
         [repr(float(a)), int(c), repr(float(g)), repr(float(dg)), float(g).hex(), float(dg).hex()]
         for a, c, g, dg in zip(gm.x, gm.contact, gm.gamma, gm.dgamma)
     ])
-    for name in ("u", "psi", "contact"):
+    _per_row_csv(tmp_path / "g_ref.csv", ["x", "g", "branch", "frak_g", "g_hex", "frak_g_hex"], [
+        [repr(float(a)), repr(float(v)), "contact" if c else "non-contact", repr(float(f)),
+         float(v).hex(), float(f).hex()]
+        for a, v, c, f in zip(g.x, g.values, g.contact, g.frak_g)
+    ])
+    for name in ("u", "psi", "contact", "g"):
         assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_ref.csv").read_bytes(), name
 
 
@@ -214,6 +225,17 @@ def test_cli_verify_corrupted_state(tmp_path):
     write_plate_csv(out / "u_bad.csv", u)
     rc = main(["verify", "--config", cfg, "--state", str(out / "u_bad.csv"), "--out", str(tmp_path / "v2")])
     assert rc == 5
+
+
+def test_cli_verify_unclamped_state_exits_5(tmp_path):
+    cfg = write_config(tmp_path, V=2.0)
+    write_plate_csv(tmp_path / "lifted.csv", PlateState.constant(PlateGrid(16, 1.0), 0.3))
+    rc = main(["verify", "--config", cfg, "--state", str(tmp_path / "lifted.csv"), "--out", str(tmp_path / "v")])
+    assert rc == 5
+    report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
+    feasibility = {c["name"]: c for c in report["checks"]}["feasibility"]
+    assert not report["mandatory_pass"] and not feasibility["pass"]
+    assert feasibility["clamped_violation"] == 0.3
 
 
 def test_cli_verify_incompatible_state(tmp_path):
@@ -328,21 +350,23 @@ def test_cli_solve_solves_only_inside_the_descent(tmp_path, monkeypatch):
 
 def test_cli_solve_factors_the_field_once_without_contact(tmp_path, monkeypatch):
     # line-search trials reuse the factor of the first field solve as a CG
-    # preconditioner, so a contact-free descent factors exactly once
+    # preconditioner, so a contact-free descent factors the gap block exactly
+    # once; with no layer condensation kept, the layer is factored once too
     import memsplate.fields
 
     real = memsplate.fields.spla
     factored = []
 
     class CountingLinalg:
-        def splu(self, *args, **kwargs):
-            factored.append(1)
-            return real.splu(*args, **kwargs)
+        def splu(self, A, *args, **kwargs):
+            factored.append(A.shape[0])
+            return real.splu(A, *args, **kwargs)
 
         def __getattr__(self, name):
             return getattr(real, name)
 
     monkeypatch.setattr(memsplate.fields, "spla", CountingLinalg())
+    monkeypatch.setattr(memsplate.fields, "_LAYER", None)
     cfg = tmp_path / "dev32.ini"
     cfg.write_text(CONFIG_SMALL.format(V=2.0).replace("n_elems = 16\nn_x = 16\nn_z1 = 8\nn_z2 = 8",
                                                       "n_elems = 32\nn_x = 32\nn_z1 = 16\nn_z2 = 16"))
@@ -352,7 +376,8 @@ def test_cli_solve_factors_the_field_once_without_contact(tmp_path, monkeypatch)
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["grid"]["n_elems"] == 32 and cert["n_contact_nodes"] == 0
     assert sum(r["ls_trials"] for r in recs) > 1
-    assert len(factored) == 1
+    # the layer interior (15 x 31 nodes), then the interface row and the gap interior (16 x 31)
+    assert factored == [15 * 31, 16 * 31]
     assert sum(r["factorizations"] for r in recs) == 0
 
 
@@ -397,13 +422,17 @@ def test_trajectory_log_schema(tmp_path):
     for line in lines:
         rec = json.loads(line)
         assert set(rec) == {"iter", "E_m", "E_e", "E_k", "step", "vi_residual", "trace_residual",
-                            "lin_residual", "n_contact_nodes", "ls_trials", "factorizations"}
+                            "lin_residual", "n_contact_nodes", "ls_trials", "factorizations",
+                            "cg_iterations"}
     recs = [json.loads(line) for line in lines]
     for name in ("trace_residual", "lin_residual"):
         assert all(np.isfinite(r[name]) and r[name] >= 0.0 for r in recs), name
     assert recs[-1]["ls_trials"] == 0 and recs[-1]["factorizations"] == 0
     assert all(r["ls_trials"] >= 1 for r in recs[:-1])
     assert all(0 <= r["factorizations"] <= r["ls_trials"] for r in recs)
+    # every trial is solved by CG on the held factor, which runs at least one iteration
+    assert recs[-1]["cg_iterations"] == 0
+    assert all(r["ls_trials"] <= r["cg_iterations"] <= 12 * r["ls_trials"] for r in recs)
 
 
 def test_cli_sweep_all_points_fail(tmp_path):

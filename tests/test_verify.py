@@ -192,3 +192,19 @@ def test_run_suite_detects_infeasible_state(ctx):
     assert not rep["mandatory_pass"]
     by_name = {c["name"]: c for c in rep["checks"]}
     assert not by_name["feasibility"]["pass"]
+
+
+def test_run_suite_rejects_a_state_off_its_clamped_ends(ctx, solved):
+    # u(+-L) = u'(+-L) = 0 belong to the admissible set, and solver states hold them exactly
+    by_name = {c["name"]: c for c in run_suite(solved, ctx)["checks"]}
+    assert by_name["feasibility"]["clamped_violation"] == 0.0
+    lifted = PlateState.constant(ctx.plate, 0.3)
+    tilted = PlateState.zero(ctx.plate)
+    tilted.dofs[-1] = 0.1  # u'(L) only
+    for u, violation in ((lifted, 0.3), (tilted, 0.1)):
+        rep = run_suite(u, ctx)
+        assert not rep["mandatory_pass"]
+        by_name = {c["name"]: c for c in rep["checks"]}
+        assert not by_name["feasibility"]["pass"]
+        assert by_name["feasibility"]["clamped_violation"] == violation
+        assert by_name["feasibility"]["nodal_violation"] == 0.0
