@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 import time
@@ -109,7 +110,7 @@ def _write_state_outputs(ctx: SolveContext, u, report: EnergyReport, outdir: Pat
 
 
 def cmd_solve(args) -> int:
-    t_start = time.time()
+    t_start, cpu_start = time.time(), time.process_time()
     bundle = parse_config(args.config)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -134,7 +135,10 @@ def cmd_solve(args) -> int:
     write_trajectory(outdir / "trajectory.jsonl", report.trajectory)
     files += ["energy.json", "certificate.json", "trajectory.jsonl"]
 
-    timings = {"total_s": time.time() - t_start, "solve_s": t_solved - t_solve}
+    timings = {
+        "total_s": time.time() - t_start, "solve_s": t_solved - t_solve,
+        "cpu_s": time.process_time() - cpu_start,
+    }
     write_json(outdir / "manifest.json", _manifest(bundle, ctx, outdir, files, timings))
     log.info(
         "solved: E=%.8g vi=%.3e (tol %.1e) iterations=%d",
@@ -190,10 +194,10 @@ def _log_point(row: dict) -> None:
 
 
 def cmd_sweep(args) -> int:
-    t_start = time.time()
+    t_start, cpu_start = time.time(), time.process_time()
     bundle = parse_config(args.config)
-    if args.vmin > args.vmax or args.steps < 1:
-        log.error("need vmin <= vmax and steps >= 1")
+    if not 0.0 <= args.vmin <= args.vmax < math.inf or args.steps < 1 or args.workers < 1:
+        log.error("need finite 0 <= vmin <= vmax, steps >= 1 and workers >= 1")
         return 2
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -235,7 +239,8 @@ def cmd_sweep(args) -> int:
         write_plate_csv(sub / "u.csv", PlateState(ctx.plate, np.array(row["dofs"])))
         write_json(sub / "point.json", {k: v for k, v in row.items() if k != "dofs"})
 
-    timings = {"total_s": time.time() - t_start}
+    # this process's CPU time: a worker process's does not count
+    timings = {"total_s": time.time() - t_start, "cpu_s": time.process_time() - cpu_start}
     manifest = _manifest(bundle, ctx, outdir, files, timings)
     manifest["constants"] = [{"V": b.params.V, **c.as_dict()} for b, c in zip(bundles, constants)]
     write_json(outdir / "manifest.json", manifest)

@@ -16,7 +16,10 @@ makes the discrete operator symmetric and balances the normal flux
 sigma dz(psi) across the interface to the order of the scheme.  Only the gap
 moves with the plate: the layer interior is factored and eliminated onto the
 interface row once per layer and process, so each solve factors (or iterates
-on) the interface row and the gap interior alone.
+on) the interface row and the gap interior alone.  The iteration is an
+in-module preconditioned CG (``_pcg``); it and the residual check sum their
+dot products with numpy's own loops and never call BLAS, so a solve does not
+wake numpy's BLAS thread pool.  SuperLU keeps its own BLAS use.
 
 The plate height is floored at the contact threshold eps: the field sees
 w(u) = u down to -H + 2 eps and below that a C2 blend reaching eps - H at
@@ -29,6 +32,7 @@ the layer are reported as contact and otherwise treated like every other column.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,6 +176,36 @@ def _apply(inner: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 def _factor(A: sp.csr_matrix):
     """SuperLU factor of a symmetric block."""
     return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b summed by numpy's own loop: a BLAS dot of a long vector wakes its thread pool, which then spins."""
+    return float(np.einsum("i,i", a, b))
+
+
+def _norm(a: np.ndarray) -> float:
+    return math.sqrt(_dot(a, a))
+
+
+def _pcg(S, b: np.ndarray, factor, atol: float, steps: int):
+    """CG on S x = b from x = 0, preconditioned with a held factor, step for step as scipy's ``cg``.
+
+    Returns (x, iterations, converged): converged once ||r|| < atol is seen
+    before a step; ``steps`` iterations without that are a miss.
+    """
+    x, r, p, rho_prev = np.zeros_like(b), b.copy(), None, 0.0
+    for k in range(steps):
+        if _norm(r) < atol:
+            return x, k, True
+        z = factor.solve(r)
+        rho = _dot(r, z)
+        p = z if p is None else z + (rho / rho_prev) * p
+        q = S @ p
+        alpha = rho / _dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, steps, False
 
 
 @dataclass(frozen=True)
@@ -477,14 +511,15 @@ class FieldSolver:
         solved by CG preconditioned with that factor.  Without one, or when CG
         misses ``tol_lin`` within ``_PCG_MAXIT`` iterations, the block is
         factored afresh.  The returned field carries the factor that was used
-        and the residual of the whole free system.
+        and the residual of the whole free system.  CG and the residual norms
+        are computed without BLAS (see ``_dot``).
         """
         if self.grid.n_x % u.grid.n_elems != 0:
             raise ValueError("field n_x must be a multiple of the plate element count")
         gm = self.gap_map(u)
         inner, rhs, nodes = self._free_system(gm)
-        rhs_norm = float(np.linalg.norm(rhs))
-        cg_steps = []  # one entry per CG iteration
+        rhs_norm = _norm(rhs)
+        cg_iterations = 0
         if rhs_norm == 0.0:
             res = 0.0
         else:
@@ -496,17 +531,15 @@ class FieldSolver:
                 """Write x and the layer values it implies into nodes; ||A x - b|| of the free system."""
                 nodes[nl + 1:-1, 1:-1] = x.reshape(-1, nj)
                 nodes[1:nl + 1, 1:-1] = layer.recover(rhs[:nl * nj], x[:nj]).reshape(nl, nj)
-                return float(np.linalg.norm(_apply(inner, nodes)))
+                return _norm(_apply(inner, nodes).ravel())
 
             res = None
             if factor is not None:
                 # the same absolute tolerance as on the whole free system: the
                 # condensed residual is its residual once the layer is recovered
-                pre = spla.LinearOperator(S.shape, matvec=factor.solve, dtype=float)
-                x, info = spla.cg(S, rhs_c, rtol=0.0, atol=self.tol_lin * rhs_norm, maxiter=_PCG_MAXIT,
-                                  M=pre, callback=cg_steps.append)
+                x, cg_iterations, converged = _pcg(S, rhs_c, factor, self.tol_lin * rhs_norm, _PCG_MAXIT)
                 res = residual(x)
-                if info != 0 or not res <= self.tol_lin * rhs_norm:
+                if not converged or not res <= self.tol_lin * rhs_norm:
                     res = None
             if res is None:
                 factor = _factor(S)
@@ -514,7 +547,7 @@ class FieldSolver:
             if not np.isfinite(res) or res > max(10.0 * self.tol_lin, 1e-8) * rhs_norm:
                 raise LinearSolveFailed(f"linear solve residual {res:.3e} vs rhs {rhs_norm:.3e}")
 
-        return self._package(gm, nodes, res, len(cg_steps), factor)
+        return self._package(gm, nodes, res, cg_iterations, factor)
 
     def _package(self, gm, nodes, res, cg_iterations, factor) -> PotentialField:
         p, hz1, he = self.p, self.hz1, self.heta

@@ -91,14 +91,20 @@ def read_plate_csv(path, grid: PlateGrid = None) -> PlateState:
     return PlateState.from_nodal(grid, vals, slopes)
 
 
+def _as_text(values) -> np.ndarray:
+    """The values as columns_to_csv formats them, for a column that repeats them: Python strings."""
+    return np.array(list(map(str, np.asarray(values).tolist())), dtype=object)
+
+
 def write_potential_csv(path, pf: PotentialField, H: float):
     """Nodal potential in physical coordinates, region-tagged: the layer rows, then the gap rows."""
     n_x, n_1, n_2 = len(pf.x), len(pf.z1), len(pf.eta)
     psi = np.concatenate([pf.psi1.ravel(), pf.psi2.ravel()])
+    # a value that repeats over rows is formatted once: columns_to_csv writes a string as it is
     columns_to_csv(path, ["x", "z", "region", "psi", "psi_hex"], [
-        np.tile(pf.x, n_1 + n_2),
-        np.concatenate([np.repeat(pf.z1, n_x), pf.z2_physical(H).ravel()]),
-        np.repeat([1, 2], [n_1 * n_x, n_2 * n_x]),
+        np.tile(_as_text(pf.x), n_1 + n_2),
+        np.concatenate([np.repeat(_as_text(pf.z1), n_x), pf.z2_physical(H).ravel().astype(object)]),
+        np.repeat(_as_text([1, 2]), [n_1 * n_x, n_2 * n_x]),
         psi, psi,
     ])
 

@@ -1,3 +1,5 @@
+import os
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -239,8 +241,7 @@ def test_linear_solve_failure_raises(setup, monkeypatch):
         factored.append(1)
         return WrongLU()
 
-    monkeypatch.setattr(memsplate.fields, "spla", SimpleNamespace(
-        splu=splu, cg=spla.cg, LinearOperator=spla.LinearOperator))
+    monkeypatch.setattr(memsplate.fields, "spla", SimpleNamespace(splu=splu))
     with pytest.raises(LinearSolveFailed):
         solver.solve(u)
     assert len(factored) == 1
@@ -407,8 +408,8 @@ def test_held_factor_solve_matches_direct(setup):
 
 
 def test_held_factor_is_never_probed_with_a_zero_vector(setup):
-    # CG calls the preconditioner only on residuals; without a dtype the
-    # LinearOperator would probe it once with zeros, a wasted triangular solve
+    # CG calls the preconditioner only on residuals, never on a zero vector,
+    # which would be a wasted triangular solve
     p, fam, grid, solver = setup
     f = lambda a: interpolate(grid, lambda x: -a * np.cos(np.pi * x / 2) ** 2,
                               lambda x: a * np.pi / 2 * np.sin(np.pi * x))
@@ -423,6 +424,67 @@ def test_held_factor_is_never_probed_with_a_zero_vector(setup):
     held = CountingLU()
     assert solver.solve(f(0.33), factor=held).factor is held
     assert seen and all(seen)
+
+
+def test_pcg_takes_the_steps_of_scipy_cg(setup):
+    # the in-module CG is scipy's algorithm: from x = 0, ||r|| < atol tested
+    # before each step, and a cap on the steps that counts as a miss
+    p, fam, grid, solver = setup
+    f = lambda a: interpolate(grid, lambda x: -a * np.cos(np.pi * x / 2) ** 2,
+                              lambda x: a * np.pi / 2 * np.sin(np.pi * x))
+    held = solver.solve(f(0.30)).factor
+    S, b = condensed_block(solver, solver.gap_map(f(0.33)))
+    atol, cap = solver.tol_lin * np.linalg.norm(b), memsplate.fields._PCG_MAXIT
+
+    class IdentityLU:
+        def solve(self, rhs):
+            return rhs.copy()
+
+    for pre, converges in ((held, True), (IdentityLU(), False)):
+        steps = []
+        x_ref, info = spla.cg(S, b, rtol=0.0, atol=atol, maxiter=cap, callback=steps.append,
+                              M=spla.LinearOperator(S.shape, matvec=pre.solve, dtype=float))
+        x, iterations, converged = memsplate.fields._pcg(S, b, pre, atol, cap)
+        assert (converged, info == 0) == (converges, converges)
+        assert iterations == len(steps) and (iterations < cap) == converges
+        assert np.linalg.norm(x - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
+
+
+def _thread_ticks():
+    """CPU clock ticks (user + system) so far of this process's main thread and of its other threads."""
+    main = others = 0
+    for task in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{task}/stat") as fh:
+            stat = fh.read().rsplit(")", 1)[1].split()  # fields from the state on; utime, stime at 11, 12
+        ticks = int(stat[11]) + int(stat[12])
+        if int(task) == os.getpid():
+            main += ticks
+        else:
+            others += ticks
+    return main, others
+
+
+def test_held_factor_solves_keep_other_threads_idle():
+    # a BLAS reduction over a long vector wakes numpy's BLAS thread pool, whose
+    # workers then spin: CG and the residual norms must sum with numpy's own
+    # loops, so the other threads gain no CPU time over a run of held-factor solves
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count thread CPU time in")
+    if len(os.listdir("/proc/self/task")) < 2:
+        pytest.skip("the process has no thread besides the main one")
+    p = PhysicalParams(V=2.0)
+    grid = PlateGrid(16, p.L)
+    # 127 x 80 condensed unknowns: long enough vectors for BLAS to thread
+    solver = FieldSolver(p, build_canonical_boundary_data(p), FieldGrid(128, 16, 80))
+    f = lambda a: interpolate(grid, lambda x: -a * np.cos(np.pi * x / 2) ** 2,
+                              lambda x: a * np.pi / 2 * np.sin(np.pi * x))
+    held = solver.solve(f(0.30)).factor
+    time.sleep(0.5)  # let workers woken before this test settle
+    main0, others0 = _thread_ticks()
+    for a in np.linspace(0.30, 0.40, 15):
+        assert solver.solve(f(a), factor=held).factor is held
+    main1, others1 = _thread_ticks()
+    assert others1 - others0 <= max(2, 0.1 * (main1 - main0)), (main1 - main0, others1 - others0)
 
 
 @pytest.mark.parametrize("varying_layer", [False, True])

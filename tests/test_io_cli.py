@@ -307,6 +307,8 @@ def test_cli_sweep_single_zero_point(tmp_path):
     assert float(rows[0]["min_u"]) == 0.0
     assert float(rows[0]["V"]) == 0.0
     assert rows[0]["is_interval"] == "1"
+    cpu_s = json.loads((sout / "manifest.json").read_text())["timings"]["cpu_s"]
+    assert np.isfinite(cpu_s) and cpu_s >= 0.0
 
 
 def test_cli_sweep_monotone_loading(tmp_path):
@@ -402,6 +404,9 @@ def test_manifest_determinism(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(out2)]) == 0
     m1 = json.loads((out1 / "manifest.json").read_text())
     m2 = json.loads((out2 / "manifest.json").read_text())
+    for m in (m1, m2):
+        # the command's own CPU time beside its wall time
+        assert np.isfinite(m["timings"]["cpu_s"]) and m["timings"]["cpu_s"] >= 0.0
     m1.pop("timings"), m2.pop("timings")
     assert m1 == m2
 
@@ -411,6 +416,20 @@ def test_cli_sweep_bad_range(tmp_path):
     rc = main(["sweep", "--config", cfg, "--vmin", "3", "--vmax", "1", "--steps", "2",
                "--out", str(tmp_path / "s")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--vmin", "nan"), ("--vmax", "inf"), ("--vmin", "-1"), ("--workers", "0"), ("--workers", "-3"),
+])
+def test_cli_sweep_rejects_bad_arguments(tmp_path, caplog, flag, value):
+    # a voltage that is not finite and >= 0, or fewer than one worker, is an
+    # input error, refused with a message before any output is written
+    cfg = write_config(tmp_path)
+    args = {"--vmin": "0", "--vmax": "1", "--steps": "2", "--workers": "1", flag: value}
+    rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"), *(a for kv in args.items() for a in kv)])
+    assert rc == 2
+    assert "need finite 0 <= vmin <= vmax, steps >= 1 and workers >= 1" in caplog.text
+    assert not (tmp_path / "s").exists()
 
 
 def test_trajectory_log_schema(tmp_path):
