@@ -38,10 +38,8 @@ from .minimize import (
     coercivity_check,
     coercivity_constant,
     continuation_pipeline,
-    continuation_certified,
     energy_total,
     make_context,
-    minimize_Ek,
 )
 from .params import (
     BoundaryDataFamily,

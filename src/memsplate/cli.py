@@ -1,8 +1,9 @@
 """Command-line front end: solve, sweep, verify.
 
 Exit codes: 0 success, 2 configuration / input error, 3 solver failure
-(for a sweep: any point that did not converge), 4 certificate failure,
-5 verification failure or incompatible state.
+(for a sweep: any point that did not converge), 4 certificate failure
+(for a sweep: any point not certified), 5 verification failure or
+incompatible state.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import logging
 import math
 import os
+import resource
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -22,7 +24,6 @@ from . import __version__
 from .errors import (
     AssumptionViolated,
     ConfigError,
-    DescentFailed,
     IncompatibleState,
     MalformedState,
     MemsPlateError,
@@ -43,7 +44,7 @@ from .io_files import (
     write_potential_csv,
     write_trajectory,
 )
-from .minimize import EnergyReport, SolveContext, continuation_pipeline, make_context, minimize_Ek
+from .minimize import EnergyReport, SolveContext, continuation_pipeline, make_context
 from .params import DerivedConstants, build_canonical_boundary_data, derive_constants
 from .verify import check_coincidence_interval, run_suite
 
@@ -85,12 +86,7 @@ def _manifest(bundle: ConfigBundle, ctx: SolveContext, outdir: Path, files: list
         "version": __version__,
         "config": bundle.snapshot,
         "constants": ctx.constants.as_dict(),
-        "grid": {
-            "n_elems": ctx.plate.n_elems,
-            "n_x": ctx.field_grid.n_x,
-            "n_z1": ctx.field_grid.n_z1,
-            "n_z2": ctx.field_grid.n_z2,
-        },
+        "grid": ctx.grid_sizes(),
         "outputs": {
             name: {"path": name, "sha256": sha256_of(outdir / name)} for name in sorted(files)
         },
@@ -119,11 +115,6 @@ def cmd_solve(args) -> int:
     t_solve = time.time()
     try:
         u, report, certificate = continuation_pipeline(ctx)
-    except DescentFailed as exc:
-        log.error("solver failed: %s", exc)
-        if exc.state is not None:
-            write_plate_csv(outdir / "u.csv", exc.state)
-        return 3
     except MemsPlateError as exc:
         log.error("solver failed: %s", exc)
         return 3
@@ -140,20 +131,15 @@ def cmd_solve(args) -> int:
         "cpu_s": time.process_time() - cpu_start,
     }
     write_json(outdir / "manifest.json", _manifest(bundle, ctx, outdir, files, timings))
-    log.info(
-        "solved: E=%.8g vi=%.3e (tol %.1e) iterations=%d",
-        report.E, report.vi_residual, report.tol_vi, report.iterations,
+    converged = certificate["status"] == "converged"
+    log.log(
+        logging.INFO if converged else logging.ERROR,
+        "%s: E=%.8g vi=%.3e (tol %.1e) iterations=%d certified=%s", certificate["status"],
+        report.E, report.vi_residual, report.tol_vi, report.iterations, certificate["certified"],
     )
-
-    cert_ok = (
-        certificate["converged"]
-        and certificate["bound_pass"]
-        and not certificate["reg_active"]
-        and certificate["lower_bound_pass"]
-        and certificate["energy_below_rest"]
-        and certificate["within_certified_range"]
-    )
-    return 0 if cert_ok else 4
+    if certificate["certified"]:
+        return 0
+    return 4 if converged else 3
 
 
 def _sweep_point(bundle: ConfigBundle, constants: DerivedConstants) -> dict:
@@ -162,59 +148,66 @@ def _sweep_point(bundle: ConfigBundle, constants: DerivedConstants) -> dict:
 
 
 def _run_sweep_point(ctx: SolveContext, warm: PlateState, V: float) -> dict:
-    u0 = warm if warm is not None else ctx.zero_state()
-    k = max(ctx.constants.kappa0, ctx.p.H)
-    status = "converged"
-    try:
-        u, report = minimize_Ek(u0, k, ctx)
-    except DescentFailed as exc:
-        u, report = exc.state, exc.report
-        status = type(exc).__name__
+    """One sweep point from ``warm`` (rest when None): its row, certificate and state."""
+    u, report, certificate = continuation_pipeline(ctx, warm)
     coin = check_coincidence_interval(u, ctx.p.H, constant_potential=ctx.family.constant_potential)
     return {
         "V": V,
-        "status": status,
+        "status": certificate["status"],
+        "certified": certificate["certified"],
         "E": report.E, "E_m": report.E_m, "E_e": report.E_e,
         "min_u": float(u.values.min()),
         "contact_measure": coin.n_contact * ctx.plate.h,
         "is_interval": coin.is_interval,
         "vi_residual": report.vi_residual,
         "iterations": report.iterations,
+        "certificate": certificate,
         "dofs": u.dofs.tolist(),
     }
 
 
 def _log_point(row: dict) -> None:
-    """One line per sweep point; a point that did not converge logs at error level."""
-    level = logging.INFO if row["status"] == "converged" else logging.ERROR
+    """One line per sweep point; a point that is not certified logs at error level."""
     log.log(
-        level, "V=%.4g: %s min_u=%.5f contact=%.4g", row["V"], row["status"],
-        row["min_u"], row["contact_measure"],
+        logging.INFO if row["certified"] else logging.ERROR,
+        "V=%.4g: %s certified=%s min_u=%.5f contact=%.4g", row["V"], row["status"],
+        row["certified"], row["min_u"], row["contact_measure"],
     )
 
 
 def cmd_sweep(args) -> int:
     t_start, cpu_start = time.time(), time.process_time()
     bundle = parse_config(args.config)
-    if not 0.0 <= args.vmin <= args.vmax < math.inf or args.steps < 1 or args.workers < 1:
-        log.error("need finite 0 <= vmin <= vmax, steps >= 1 and workers >= 1")
+    # either end may be the higher: vmin > vmax sweeps downward
+    if not all(0.0 <= V < math.inf for V in (args.vmin, args.vmax)) or args.steps < 1 or args.workers < 1:
+        log.error("need finite vmin >= 0 and vmax >= 0, steps >= 1 and workers >= 1")
+        return 2
+    volts = [float(V) for V in np.linspace(args.vmin, args.vmax, args.steps)]
+    names = [f"V_{V:.6g}" for V in volts]
+    if len(set(names)) < len(names):
+        log.error("sweep points share an output directory: %s", ", ".join(names))
         return 2
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    bundles = [bundle.with_V(float(V)) for V in np.linspace(args.vmin, args.vmax, args.steps)]
+    bundles = [bundle.with_V(V) for V in volts]
     # every point's constants before the first solve: a point that cannot be
     # certified fails the sweep before any work is spent
     constants = [_constants_of(b) for b in bundles]
 
     rows = []
     if args.workers > 1:
+        children = resource.getrusage(resource.RUSAGE_CHILDREN)
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_sweep_point, bundles, constants))
+        # the workers' CPU time, counted once the pool has reaped them
+        done = resource.getrusage(resource.RUSAGE_CHILDREN)
+        worker_cpu_s = done.ru_utime + done.ru_stime - children.ru_utime - children.ru_stime
         for row in rows:
             _log_point(row)
         # the device grids do not depend on V: the top point's context serves the point files
         ctx = _context_from_bundle(bundles[-1], constants[-1])
     else:
+        worker_cpu_s = 0.0
         warm = None
         for b, c in zip(bundles, constants):
             ctx = _context_from_bundle(b, c)
@@ -225,29 +218,30 @@ def cmd_sweep(args) -> int:
 
     header = [
         "V", "E", "E_m", "E_e", "min_u", "contact_measure", "is_interval",
-        "status", "vi_residual", "iterations",
+        "status", "certified", "vi_residual", "iterations",
     ]
-    ordered = sorted(rows, key=lambda r: r["V"])
     columns_to_csv(outdir / "sweep.csv", header, [
-        [int(r[k]) if k == "is_interval" else r[k] for r in ordered] for k in header
+        [int(r[k]) if k in ("is_interval", "certified") else r[k] for r in rows] for k in header
     ])
     files = ["sweep.csv"]
 
-    for row in rows:
-        sub = outdir / f"V_{row['V']:.6g}"
+    for name, row in zip(names, rows):
+        sub = outdir / name
         sub.mkdir(exist_ok=True)
         write_plate_csv(sub / "u.csv", PlateState(ctx.plate, np.array(row["dofs"])))
         write_json(sub / "point.json", {k: v for k, v in row.items() if k != "dofs"})
 
-    # this process's CPU time: a worker process's does not count
-    timings = {"total_s": time.time() - t_start, "cpu_s": time.process_time() - cpu_start}
+    timings = {"total_s": time.time() - t_start, "cpu_s": time.process_time() - cpu_start + worker_cpu_s}
     manifest = _manifest(bundle, ctx, outdir, files, timings)
     manifest["constants"] = [{"V": b.params.V, **c.as_dict()} for b, c in zip(bundles, constants)]
     write_json(outdir / "manifest.json", manifest)
 
-    n_fail = sum(1 for r in rows if r["status"] != "converged")
-    log.info("sweep finished: %d/%d points converged", len(rows) - n_fail, len(rows))
-    return 0 if n_fail == 0 else 3
+    n_failed = sum(r["status"] != "converged" for r in rows)
+    n_certified = sum(r["certified"] for r in rows)
+    log.info("sweep finished: %d/%d points certified", n_certified, len(rows))
+    if n_failed:
+        return 3
+    return 0 if n_certified == len(rows) else 4
 
 
 def cmd_verify(args) -> int:

@@ -61,10 +61,6 @@ class MaxIterations(DescentFailed):
     """Outer iteration cap reached before convergence."""
 
 
-class BoundViolated(MemsPlateError):
-    """A computed state exceeds its certified a-priori bound."""
-
-
 class InvalidInterval(MemsPlateError):
     """Interval endpoints are out of range or in the wrong order."""
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .errors import MaxIterations, StalledDescent
+from .errors import DescentFailed, MaxIterations, StalledDescent
 from .fields import FieldGrid, FieldSolver, PotentialField
 from .forces import ForceProfile, compute_force, force_load_vector
 from .hermite import (
@@ -56,7 +56,6 @@ __all__ = [
     "energy_total",
     "minimize_Ek",
     "continuation_pipeline",
-    "continuation_certified",
     "coercivity_constant",
     "coercivity_check",
 ]
@@ -143,6 +142,11 @@ class SolveContext:
 
     def zero_state(self) -> PlateState:
         return PlateState.zero(self.plate)
+
+    def grid_sizes(self) -> dict:
+        """Plate elements and field cells of the device."""
+        g = self.field_grid
+        return {"n_elems": self.plate.n_elems, "n_x": g.n_x, "n_z1": g.n_z1, "n_z2": g.n_z2}
 
     def reduced_solve(self, mask: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve the quadratic stiffness restricted to the DOFs in mask."""
@@ -456,37 +460,53 @@ def coercivity_check(u: PlateState, k: float, ctx: SolveContext) -> dict:
 # -- continuation ------------------------------------------------------------------
 
 
-def continuation_pipeline(ctx: SolveContext) -> tuple[PlateState, EnergyReport, dict]:
+def continuation_pipeline(
+    ctx: SolveContext, u0: PlateState = None
+) -> tuple[PlateState, EnergyReport, dict]:
     """Minimize at the certified regularization level and check it was inert.
 
-    Picks k = max(kappa0, H), minimizes from the rest state, verifies the sup bound on a fine
-    element sampling and that the penalty never activated; on success the
-    result is a certified stationary state of the plain energy (first-order
-    stationarity and the sup bound), and the returned certificate holds every
-    number needed to re-check the claim.
+    Picks k = max(kappa0, H), minimizes from u0 (the rest state when None),
+    verifies the sup bound on a fine element sampling and that the penalty
+    never activated.  A descent that stops short keeps its last iterate, and
+    the certificate's ``status`` names the failure (``StalledDescent`` or
+    ``MaxIterations``; ``converged`` otherwise).  ``certified`` is the
+    verdict: the state is a certified stationary state of the plain energy
+    (first-order stationarity and the sup bound), and the certificate holds
+    every number needed to re-check the claim.
     """
     c = ctx.constants
     k = max(c.kappa0, ctx.p.H)
-    u, report = minimize_Ek(ctx.zero_state(), k, ctx)
+    status = "converged"
+    try:
+        u, report = minimize_Ek(ctx.zero_state() if u0 is None else u0, k, ctx)
+    except DescentFailed as exc:
+        u, report, status = exc.state, exc.report, type(exc).__name__
 
     _, dense = u.sample_dense(16)
     sup_u = float(np.max(np.abs(dense)))
     # the constants are certified on deflections up to w_max, which derive_constants
     # sets >= 2 max(kappa0, H) unless given one: a state beyond it also fails the
     # sup bound, so it is flagged and its constants are not re-derived
-    within_w_max = sup_u <= c.w_max
+    within_w_max = bool(sup_u <= c.w_max)
     sub_nodal = float(max(0.0, -(dense.min() + ctx.p.H)))
-    bound_ok = sup_u <= c.kappa0 * (1.0 + 1e-12)
-    # the descent starts at the rest state, so its first record holds E(0)
-    E_rest = report.trajectory[0]["E_m"] + report.trajectory[0]["E_e"]
+    bound_ok = bool(sup_u <= c.kappa0 * (1.0 + 1e-12))
+    if u0 is None:
+        # a descent from rest cannot end above it, and its first record holds E(0)
+        E_rest = report.trajectory[0]["E_m"] + report.trajectory[0]["E_e"]
+    else:
+        E_rest = _evaluate(ctx, ctx.zero_state(), k)["E"]
     ck = coercivity_constant(ctx, k)
+    lower_ok, below_rest = bool(report.E >= -ck), bool(report.E <= E_rest)
+    certified = all((report.converged, bound_ok, not report.reg_active, lower_ok, below_rest, within_w_max))
     certificate = {
+        "status": status,
+        "certified": certified,
         "k": k,
         "kappa0": c.kappa0,
         "sup_abs_u": sup_u,
         "min_u": float(dense.min()),
         "sub_nodal_violation": sub_nodal,
-        "bound_pass": bool(bound_ok),
+        "bound_pass": bound_ok,
         "reg_active": report.reg_active,
         "vi_residual": report.vi_residual,
         "trace_residual": report.trace_residual,
@@ -498,30 +518,12 @@ def continuation_pipeline(ctx: SolveContext) -> tuple[PlateState, EnergyReport, 
         "E": report.E,
         "E_k": report.E_k,
         "E_rest": E_rest,
-        "energy_below_rest": bool(report.E <= E_rest),
+        "energy_below_rest": below_rest,
         "c_kappa0": ck,
-        "lower_bound_pass": bool(report.E >= -ck),
+        "lower_bound_pass": lower_ok,
         "n_contact_nodes": report.n_contact_nodes,
-        "within_certified_range": bool(within_w_max),
+        "within_certified_range": within_w_max,
         "constants": c.as_dict(),
-        "grid": {
-            "n_elems": ctx.plate.n_elems,
-            "n_x": ctx.field_grid.n_x,
-            "n_z1": ctx.field_grid.n_z1,
-            "n_z2": ctx.field_grid.n_z2,
-        },
+        "grid": ctx.grid_sizes(),
     }
     return u, report, certificate
-
-
-def continuation_certified(ctx: SolveContext):
-    """continuation_pipeline that raises BoundViolated when the sup bound fails."""
-    from .errors import BoundViolated
-
-    u, report, cert = continuation_pipeline(ctx)
-    if not cert["bound_pass"]:
-        raise BoundViolated(
-            f"sup |u| = {cert['sup_abs_u']:.6g} exceeds kappa0 = {cert['kappa0']:.6g}; "
-            f"certificate: {cert}"
-        )
-    return u, report, cert

@@ -24,10 +24,8 @@ from memsplate import (
     force_analytic_flat,
     interpolate,
     make_context,
-    minimize_Ek,
 )
 from memsplate.bounds import q_profile
-from memsplate.errors import MaxIterations, StalledDescent
 from memsplate.hermite import PlateGrid
 from memsplate.fields import FieldSolver
 from memsplate.verify import check_coincidence_interval
@@ -104,28 +102,15 @@ def t1_result(ctx):
 
 @pytest.fixture(scope="module")
 def sweep_result(ctx, params):
-    """Warm-started loading sweep ending in contact."""
+    """Warm-started loading sweep ending in contact; each state's force comes with its report."""
     rows = []
     warm = None
     for V in (3.0, 6.0, 9.0, 11.0):
-        pV = PhysicalParams(V=V)
-        ctxV = make_context(pV, n_elems=N_ELEMS, field_grid=FIELD)
-        if warm is None:
-            warm = ctxV.zero_state()
-        try:
-            warm, rep = minimize_Ek(warm, max(ctxV.constants.kappa0, pV.H), ctxV)
-            status = "converged"
-        except (StalledDescent, MaxIterations) as exc:
-            warm, rep = exc.state, exc.report
-            status = type(exc).__name__
-        fam = build_canonical_boundary_data(pV)
-        solver = FieldSolver(pV, fam, FIELD)
-        pf = solver.solve(warm)
-        g = compute_force(warm, pf, fam, pV)
+        ctxV = make_context(PhysicalParams(V=V), n_elems=N_ELEMS, field_grid=FIELD)
+        warm, rep, cert = continuation_pipeline(ctxV, warm)
         rows.append({
-            "V": V, "state": warm, "report": rep, "status": status,
-            "pV": pV, "pf": pf, "g": g,
-            "coincidence": check_coincidence_interval(warm, pV.H),
+            "V": V, "certificate": cert, "g": rep.force,
+            "coincidence": check_coincidence_interval(warm, ctxV.p.H),
         })
     return rows
 
@@ -268,12 +253,9 @@ def test_criterion_5_comparison_bound_suite(params):
 
 def test_criterion_6_continuation_pipeline(t1_result, ctx):
     u, rep, cert, dt = t1_result
-    gmin = None
     # canonical family: force is nonnegative by construction, confirming the
     # demo voltage qualifies for the sign-based bound argument
-    pf = ctx.field.solve(u)
-    g = compute_force(u, pf, ctx.family, ctx.p)
-    gmin = float(np.min(g.values))
+    gmin = float(np.min(rep.force.values))
     ok = (
         rep.converged
         and rep.vi_residual <= rep.tol_vi
@@ -281,6 +263,7 @@ def test_criterion_6_continuation_pipeline(t1_result, ctx):
         and not cert["reg_active"]
         and cert["energy_below_rest"]
         and cert["lower_bound_pass"]
+        and cert["certified"]
         and gmin >= -1e-12
         and np.all(u.values <= 1e-10)  # downward force only
         and dt <= 60.0
@@ -298,8 +281,10 @@ def test_criterion_7_coincidence_in_sweep(sweep_result):
             ok = ok and r["coincidence"].is_interval
     top = sweep_result[-1]
     ok = ok and top["coincidence"].n_contact > 0
+    ok = ok and all(r["certificate"]["certified"] for r in sweep_result)
     detail = ", ".join(
-        f"V={r['V']}: contact={r['coincidence'].n_contact} interval={r['coincidence'].is_interval}"
+        f"V={r['V']}: contact={r['coincidence'].n_contact} interval={r['coincidence'].is_interval} "
+        f"certified={r['certificate']['certified']}"
         for r in sweep_result
     )
     report(7, ok, detail)

@@ -411,15 +411,24 @@ def test_manifest_determinism(tmp_path):
     assert m1 == m2
 
 
-def test_cli_sweep_bad_range(tmp_path):
-    cfg = write_config(tmp_path)
-    rc = main(["sweep", "--config", cfg, "--vmin", "3", "--vmax", "1", "--steps", "2",
-               "--out", str(tmp_path / "s")])
-    assert rc == 2
+def test_cli_sweep_descending_range(tmp_path):
+    # vmin > vmax sweeps downward: points run and are written in sweep order
+    sout = tmp_path / "s"
+    rc = main(["sweep", "--config", write_config(tmp_path), "--vmin", "3", "--vmax", "1", "--steps", "2",
+               "--out", str(sout)])
+    assert rc == 0
+    with open(sout / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["V"]) for r in rows] == [3.0, 1.0]
+    assert [(r["status"], r["certified"]) for r in rows] == [("converged", "1")] * 2
+    for name in ("V_3", "V_1"):
+        point = json.loads((sout / name / "point.json").read_text())
+        assert point["certified"] and point["certificate"]["certified"]
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--vmin", "nan"), ("--vmax", "inf"), ("--vmin", "-1"), ("--workers", "0"), ("--workers", "-3"),
+    ("--vmin", "nan"), ("--vmax", "nan"), ("--vmin", "inf"), ("--vmax", "inf"), ("--vmin", "-1"),
+    ("--workers", "0"), ("--workers", "-3"),
 ])
 def test_cli_sweep_rejects_bad_arguments(tmp_path, caplog, flag, value):
     # a voltage that is not finite and >= 0, or fewer than one worker, is an
@@ -428,7 +437,18 @@ def test_cli_sweep_rejects_bad_arguments(tmp_path, caplog, flag, value):
     args = {"--vmin": "0", "--vmax": "1", "--steps": "2", "--workers": "1", flag: value}
     rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"), *(a for kv in args.items() for a in kv)])
     assert rc == 2
-    assert "need finite 0 <= vmin <= vmax, steps >= 1 and workers >= 1" in caplog.text
+    assert "need finite vmin >= 0 and vmax >= 0, steps >= 1 and workers >= 1" in caplog.text
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("vmin, vmax, steps", [("6", "6.00001", "3"), ("2", "2", "2")])
+def test_cli_sweep_rejects_points_sharing_a_directory(tmp_path, caplog, vmin, vmax, steps):
+    # point directories are named V_{V:.6g}: two points with one name would
+    # overwrite each other, so the sweep is refused before any output
+    rc = main(["sweep", "--config", write_config(tmp_path), "--vmin", vmin, "--vmax", vmax, "--steps", steps,
+               "--out", str(tmp_path / "s")])
+    assert rc == 2
+    assert "sweep points share an output directory" in caplog.text
     assert not (tmp_path / "s").exists()
 
 
@@ -465,21 +485,75 @@ def test_cli_sweep_all_points_fail(tmp_path):
     with open(sout / "sweep.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["status"] for r in rows] == ["MaxIterations"] * 2
+    assert [r["certified"] for r in rows] == ["0"] * 2
     for row in rows:
         assert float(row["vi_residual"]) > 0.0 and int(row["iterations"]) == 1
         point = json.loads((sout / f"V_{float(row['V']):.6g}" / "point.json").read_text())
         assert point["status"] == row["status"] and point["iterations"] == int(row["iterations"])
+        assert point["certificate"]["status"] == "MaxIterations" and not point["certificate"]["certified"]
+
+
+def test_cli_sweep_exits_4_on_an_uncertified_point(tmp_path, monkeypatch, caplog):
+    # a point whose descent converges but whose state breaks the sup bound is
+    # written, marked uncertified and logged at error level, and the sweep exits 4
+    from dataclasses import replace as dc_replace
+
+    import memsplate.cli
+
+    derive = memsplate.cli.derive_constants
+    monkeypatch.setattr(memsplate.cli, "derive_constants", lambda p, f: dc_replace(derive(p, f), kappa0=1e-9))
+    sout = tmp_path / "s"
+    rc = main(["sweep", "--config", write_config(tmp_path), "--vmin", "0", "--vmax", "2", "--steps", "2",
+               "--out", str(sout)])
+    assert rc == 4
+    with open(sout / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["status"], r["certified"]) for r in rows] == [("converged", "1"), ("converged", "0")]
+    cert = json.loads((sout / "V_2" / "point.json").read_text())["certificate"]
+    assert cert["converged"] and not cert["bound_pass"] and not cert["certified"]
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].startswith("V=2: converged certified=False")
+
+
+def test_cli_solve_failed_descent_writes_every_output(tmp_path):
+    # a descent that stops short exits 3 and still writes its last iterate's
+    # field, force, certificate and manifest
+    cfg = tmp_path / "capped.ini"
+    cfg.write_text(CONFIG_SMALL.format(V=2.0).replace("tol_vi_factor = 1e-6", "tol_vi_factor = 1e-6\nmax_outer = 1"))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["outputs"]) == {
+        "u.csv", "psi.csv", "g.csv", "contact.csv", "psi_meta.json",
+        "energy.json", "certificate.json", "trajectory.jsonl",
+    }
+    for name, entry in manifest["outputs"].items():
+        assert sha256_of(out / name) == entry["sha256"]
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert["status"] == "MaxIterations" and cert["iterations"] == 1
+    assert not cert["converged"] and not cert["certified"]
+    assert np.any(read_plate_csv(out / "u.csv").values < 0.0)
 
 
 def test_cli_sweep_parallel_workers(tmp_path):
+    # a pooled sweep's cpu_s holds the workers' CPU time as well as its own
+    import resource
+    import time
+
     cfg = write_config(tmp_path, V=0.0)
     sout = tmp_path / "spar"
+    child0, own0 = resource.getrusage(resource.RUSAGE_CHILDREN), time.process_time()
     rc = main(["sweep", "--config", cfg, "--vmin", "0.5", "--vmax", "1.5", "--steps", "2",
                "--out", str(sout), "--workers", "2"])
+    child1, own1 = resource.getrusage(resource.RUSAGE_CHILDREN), time.process_time()
     assert rc == 0
     with open(sout / "sweep.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [float(r["V"]) for r in rows] == [0.5, 1.5]
+    workers = child1.ru_utime + child1.ru_stime - child0.ru_utime - child0.ru_stime
+    cpu_s = json.loads((sout / "manifest.json").read_text())["timings"]["cpu_s"]
+    assert workers > 0.0
+    assert workers <= cpu_s <= workers + (own1 - own0)
 
 
 def test_log_level_env(tmp_path, monkeypatch):
@@ -518,11 +592,12 @@ def test_cli_uncertifiable_constants_exit_2(tmp_path, command, caplog):
 def test_cli_sweep_certifies_every_point_before_solving(tmp_path, monkeypatch, workers):
     # the top point's constants cannot be certified: the sweep fails before any solve
     import memsplate.cli
+    import memsplate.minimize
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a sweep point was solved")
 
-    monkeypatch.setattr(memsplate.cli, "minimize_Ek", no_solve)
+    monkeypatch.setattr(memsplate.minimize, "minimize_Ek", no_solve)
     monkeypatch.setattr(memsplate.cli, "ProcessPoolExecutor", no_solve)
     out = tmp_path / "o"
     rc = main(["sweep", "--config", write_config(tmp_path, V=0.0), "--vmin", "0", "--vmax", "1e200",
@@ -569,8 +644,27 @@ def test_cli_sweep_through_touchdown_certifies_every_point(tmp_path, vmax):
     with open(sout / "sweep.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["status"] for r in rows] == ["converged"] * 6
+    assert [r["certified"] for r in rows] == ["1"] * 6
     assert rc == 0
     assert float(rows[-1]["min_u"]) == -1.0 and float(rows[-1]["contact_measure"]) > 0.0
+
+
+def test_cli_sweep_pull_in_hysteresis(tmp_path):
+    # at 5.5 V the reduced device has two certified states: loading from rest
+    # leaves the plate free, unloading from 11 V keeps it on the layer at a
+    # higher energy; both sweeps start from rest and differ only in direction
+    cfg = _reduced_config(tmp_path)
+    points = {}
+    for tag, vmin, vmax in (("up", "0", "5.5"), ("down", "11", "5.5")):
+        out = tmp_path / tag
+        assert main(["sweep", "--config", cfg, "--vmin", vmin, "--vmax", vmax, "--steps", "3", "--out", str(out)]) == 0
+        points[tag] = json.loads((out / "V_5.5" / "point.json").read_text())
+    up, down = points["up"], points["down"]
+    assert up["certified"] and down["certified"]
+    assert up["E"] == pytest.approx(-15.760622, abs=1e-6) and down["E"] == pytest.approx(-15.703274, abs=1e-6)
+    assert up["E"] < down["E"]
+    assert up["min_u"] > -0.5 and down["min_u"] < -0.99
+    assert up["contact_measure"] == 0.0 < down["contact_measure"]
 
 
 def test_cli_sweep_certifies_each_state_once(tmp_path, monkeypatch):
