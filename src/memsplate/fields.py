@@ -16,10 +16,13 @@ makes the discrete operator symmetric and balances the normal flux
 sigma dz(psi) across the interface to the order of the scheme.  Only the gap
 moves with the plate: the layer interior is factored and eliminated onto the
 interface row once per layer and process, so each solve factors (or iterates
-on) the interface row and the gap interior alone.  The iteration is an
-in-module preconditioned CG (``_pcg``); it and the residual check sum their
-dot products with numpy's own loops and never call BLAS, so a solve does not
-wake numpy's BLAS thread pool.  SuperLU keeps its own BLAS use.
+on) the interface row and the gap interior alone.  A flat gap over a layer
+that does not vary in x makes that block the same in every column; the sine
+transform along x then solves it without a factorization (``_SineSolver``).
+The iteration is an in-module preconditioned CG (``_pcg``); it, the sine
+solver and the residual check sum their dot products with numpy's own loops
+and never call BLAS, so a solve does not wake numpy's BLAS thread pool.
+SuperLU keeps its own BLAS use.
 
 The plate height is floored at the contact threshold eps: the field sees
 w(u) = u down to -H + 2 eps and below that a C2 blend reaching eps - H at
@@ -38,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import LinearSolveFailed
 from .hermite import PlateState, shape_functions
@@ -192,6 +196,11 @@ def _pcg(S, b: np.ndarray, factor, atol: float, steps: int):
 
     Returns (x, iterations, converged): converged once ||r|| < atol is seen
     before a step; ``steps`` iterations without that are a miss.
+
+    A start from the current iterate's potential took 225 CG iterations where
+    this takes 395 over eight cold 1-5 V default-device solves, but it ends just
+    under atol, not 10-40x under, and the default sweep's 11 V point then stalled
+    at vi 2.9e-8 against a tolerance of 1e-8: the contact certificate needs that margin.
     """
     x, r, p, rho_prev = np.zeros_like(b), b.copy(), None, 0.0
     for k in range(steps):
@@ -206,6 +215,47 @@ def _pcg(S, b: np.ndarray, factor, atol: float, steps: int):
         r -= alpha * q
         rho_prev = rho
     return x, steps, False
+
+
+def _x_invariant(stencil: np.ndarray) -> bool:
+    """Whether stencil rows (n_rows, n_cols, 3, 3) are the same in every column and symmetric under x-reflection."""
+    return (np.array_equal(stencil, np.broadcast_to(stencil[:, :1], stencil.shape))
+            and np.array_equal(stencil[..., 0], stencil[..., 2]))
+
+
+def _dst(a: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I along the last axis, its own inverse, from numpy's FFT of the odd extension."""
+    n = a.shape[-1]
+    ext = np.zeros(a.shape[:-1] + (2 * n + 2,))
+    ext[..., 1:n + 1] = a
+    ext[..., n + 2:] = -a[..., ::-1]
+    return np.fft.rfft(ext)[..., 1:n + 1].imag * -math.sqrt(0.5 / (n + 1))
+
+
+class _SineSolver:
+    """Direct solver of a condensed block whose free-node stencil is x-invariant (``_x_invariant``).
+
+    Its rows couple through symmetric tridiagonal Toeplitz matrices in x, which
+    the orthonormal DST-I diagonalizes, as it does the layer correction: in the
+    sine basis the block is one tridiagonal system across the rows per sine mode
+    (matrix decomposition; Buzbee, Golub and Nielson, 1970).  LAPACK's LDL^T
+    tridiagonal factor (Thomas) takes all modes as one chain, zero-coupled
+    between modes.  ``solve`` transforms, sweeps and transforms back, without BLAS.
+    """
+
+    def __init__(self, rows: np.ndarray, layer_sine: np.ndarray):
+        # rows (n_rows, 3, 3): the stencil of one column; row 0 is the interface row
+        cos = 2.0 * np.cos(np.pi * np.arange(1, layer_sine.size + 1) / (layer_sine.size + 1))
+        diag = rows[:, 1, 1, None] + rows[:, 1, 0, None] * cos
+        diag[0] -= layer_sine
+        upper = np.zeros_like(diag)  # row r to row r + 1 within a mode, 0 from a mode's last row to the next mode
+        upper[:-1] = rows[:-1, 2, 1, None] + rows[:-1, 2, 0, None] * cos
+        self.shape = diag.shape
+        self.d, self.e, _ = lapack.dpttrf(diag.T.ravel(), upper.T.ravel()[:-1])
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        y, _ = lapack.dpttrs(self.d, self.e, _dst(b.reshape(self.shape)).T.ravel())
+        return _dst(y.reshape(self.shape[::-1]).T).ravel()
 
 
 @dataclass(frozen=True)
@@ -225,6 +275,7 @@ class _Layer:
     correction: np.ndarray    # A_IL A_LL^-1 A_LI, symmetrized, (n_x-1, n_x-1)
     edge: np.ndarray          # layer nodes next to the pinned ring, where b_L can be nonzero
     edge_map: np.ndarray      # (A_LL^-1 A_LI)[edge]^T: A_IL A_LL^-1 b_L = edge_map @ b_L[edge] by symmetry
+    sine: np.ndarray          # correction's diagonal in the sine basis for an x-invariant layer, else None
 
     @classmethod
     def build(cls, rows: np.ndarray) -> "_Layer":
@@ -247,7 +298,9 @@ class _Layer:
             Z = lu.solve(rhs)
             correction[:, cols] = coupling.T @ Z[-nj:]
             edge_map[cols] = Z[edge].T
-        return cls(rows.copy(), lu, coupling, 0.5 * (correction + correction.T), edge, edge_map)
+        correction = 0.5 * (correction + correction.T)
+        sine = np.diagonal(_dst(_dst(correction).T)).copy() if _x_invariant(rows) else None
+        return cls(rows.copy(), lu, coupling, correction, edge, edge_map, sine)
 
     def load(self, b_layer: np.ndarray) -> np.ndarray:
         """What the layer's right-hand side puts on the interface row: A_IL A_LL^-1 b_L."""
@@ -329,7 +382,7 @@ class PotentialField:
     boundary_sup: float
     residual: float                  # ||A x - b|| of the whole free-node system
     cg_iterations: int = 0           # CG iterations on a held factor, also when CG then missed tol_lin
-    factor: object = None            # SuperLU factor of the condensed gap block, for reuse on a nearby state
+    factor: object = None            # the condensed gap block's SuperLU factor or _SineSolver, for reuse nearby
 
     @property
     def contact_mask(self) -> np.ndarray:
@@ -510,9 +563,11 @@ class FieldSolver:
         earlier solve (the free nodes are the same for every state), it is
         solved by CG preconditioned with that factor.  Without one, or when CG
         misses ``tol_lin`` within ``_PCG_MAXIT`` iterations, the block is
-        factored afresh.  The returned field carries the factor that was used
-        and the residual of the whole free system.  CG and the residual norms
-        are computed without BLAS (see ``_dot``).
+        solved directly: by the sine transform when its stencil is x-invariant
+        (a flat gap over a layer that does not vary in x), else factored afresh
+        by SuperLU.  The returned field carries the solver that was used and
+        the residual of the whole free system.  CG and the residual norms are
+        computed without BLAS (see ``_dot``).
         """
         if self.grid.n_x % u.grid.n_elems != 0:
             raise ValueError("field n_x must be a multiple of the plate element count")
@@ -542,7 +597,11 @@ class FieldSolver:
                 if not converged or not res <= self.tol_lin * rhs_norm:
                     res = None
             if res is None:
-                factor = _factor(S)
+                gap = inner[nl:]
+                if layer.sine is not None and _x_invariant(gap):
+                    factor = _SineSolver(gap[:, 0], layer.sine)
+                else:
+                    factor = _factor(S)
                 res = residual(factor.solve(rhs_c))
             if not np.isfinite(res) or res > max(10.0 * self.tol_lin, 1e-8) * rhs_norm:
                 raise LinearSolveFailed(f"linear solve residual {res:.3e} vs rhs {rhs_norm:.3e}")

@@ -386,7 +386,8 @@ def minimize_Ek(
         last = (mask, u.dofs, r)
         d = _quasi_newton(ctx, mask, r, pairs)
 
-        # every trial is preconditioned by the factor of the current iterate; an
+        # every trial is preconditioned by the factor of the current iterate until
+        # one misses and factors; the rest of this line search factor directly.  An
         # accepted trial hands on the factor its own solve used
         held = ev["pf"].factor
         noise = _NOISE_ULPS * np.finfo(float).eps * (abs(ev["E_m"]) + abs(ev["E_e"]) + ev["pen_value"])
@@ -399,7 +400,9 @@ def minimize_Ek(
                 break  # step vanished under clipping/rounding
             ev_t = _evaluate(ctx, trial, k, held)
             rec["ls_trials"] += 1
-            rec["factorizations"] += int(ev_t["pf"].factor is not held)
+            if ev_t["pf"].factor is not held:
+                rec["factorizations"] += 1
+                held = None
             rec["cg_iterations"] += ev_t["pf"].cg_iterations
             delta = ev_t["E_k"] - ev["E_k"]
             pred = float(r @ (trial.dofs - u.dofs))

@@ -312,3 +312,21 @@ def test_criterion_9_descent_and_determinism(t1_result, params):
     ok = monotone and identical
     report(9, ok, f"E_k trajectory nonincreasing over {len(Eks)} records: {monotone}; "
                   f"repeated run certificate identical: {identical}")
+
+
+def test_refinement_at_11V_converges():
+    # cold 11 V solves with the field refined together with the plate (n_z1 =
+    # n_z2 = n_elems / 2).  The quantity checked for the contact set is the one
+    # sweep.csv reports: contact nodes (within eps = h^2 H of the layer) times h
+    energies, measures = [], []
+    for n in (32, 64, 128):
+        ctx = make_context(PhysicalParams(V=11.0), n_elems=n, field_grid=FieldGrid(n, n // 2, n // 2))
+        u, rep, cert = continuation_pipeline(ctx)
+        assert cert["certified"], n
+        energies.append(cert["E"])
+        measures.append(check_coincidence_interval(u, ctx.p.H).n_contact * ctx.plate.h)
+    E32, E64, E128 = energies
+    ratio = (E32 - E64) / (E64 - E128)
+    ok = E32 > E64 > E128 and measures == [0.3125, 0.21875, 0.171875] and ratio >= 3.0
+    report("refinement", ok, f"E at 32, 64, 128 elements {energies}, contact measure {measures}, "
+                             f"ratio of energy differences {ratio:.2f}")

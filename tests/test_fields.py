@@ -220,9 +220,11 @@ def test_variational_upper_bound(setup, rng):
 def test_linear_solve_failure_raises(setup, monkeypatch):
     # a factorization whose solve returns a wrong vector must trip the residual
     # check, both when it is the first solve and when it is the fallback after
-    # CG on a held factor missed tol_lin
+    # CG on a held factor missed tol_lin.  A deflected state: the flat one is
+    # solved by the sine transform and never reaches splu
     p, fam, grid, solver = setup
-    u = PlateState.constant(grid, 0.0)
+    u = interpolate(grid, lambda x: -0.3 * np.cos(np.pi * x / 2) ** 2,
+                    lambda x: 0.3 * np.pi / 2 * np.sin(np.pi * x))
     # the layer is factored on its first solve; solving once first keeps that
     # factorization out of the count below, whatever ran before
     solver.solve(u)
@@ -450,6 +452,80 @@ def test_pcg_takes_the_steps_of_scipy_cg(setup):
         assert np.linalg.norm(x - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
 
 
+def z_varying_layer(x, z):
+    return 1.0 + 0.2 * z + 0.0 * x
+
+
+@pytest.mark.parametrize("fgrid", [FieldGrid(128, 64, 64), FieldGrid(32, 16, 16)], ids=["default", "reduced"])
+@pytest.mark.parametrize("sigma1", [1.0, z_varying_layer], ids=["constant", "z-varying"])
+def test_flat_state_is_solved_by_the_sine_transform(fgrid, sigma1):
+    # a flat gap over a layer that does not vary in x: the condensed block is
+    # the same in every column, and the sine transform solves it exactly
+    p = PhysicalParams(V=2.0, sigma1=sigma1)
+    solver = FieldSolver(p, build_canonical_boundary_data(PhysicalParams(V=2.0)), fgrid)
+    u = PlateState.zero(PlateGrid(fgrid.n_x, p.L))
+    pf = solver.solve(u)
+    assert isinstance(pf.factor, memsplate.fields._SineSolver)
+    S, rhs_c = condensed_block(solver, solver.gap_map(u))
+    x_ref = spla.spsolve(S.tocsc(), rhs_c)
+    assert np.max(np.abs(pf.psi2[:-1, 1:-1].ravel() - x_ref)) <= 1e-13 * np.max(np.abs(x_ref))
+
+
+def test_other_states_and_layers_are_factored_by_superlu(monkeypatch):
+    # a layer varying in x, a deflected plate and a plate with nodal values 0
+    # but nonzero slopes each make the block differ between columns.  A layer
+    # varying in x only below its top element row leaves the block's stencil
+    # x-invariant, but not the layer correction
+    real, factored = memsplate.fields.spla, []
+
+    class CountingLinalg:
+        def splu(self, A, *args, **kwargs):
+            factored.append(A.shape[0])
+            return real.splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(memsplate.fields, "spla", CountingLinalg())
+    grid = PlateGrid(16, 1.0)
+    sloped = PlateState.from_nodal(grid, np.zeros(17), np.r_[0.0, np.full(15, 0.1), 0.0])
+    deflected = interpolate(grid, lambda x: -0.3 * np.cos(np.pi * x / 2) ** 2,
+                            lambda x: 0.3 * np.pi / 2 * np.sin(np.pi * x))
+    flat = PlateState.zero(grid)
+    cases = [(1.0, deflected), (1.0, sloped),
+             (lambda x, z: 1.0 + 0.3 * np.cos(x) + 0.0 * z, flat),
+             (lambda x, z: 1.0 + 0.3 * np.cos(x) * (z < -1.5), flat)]
+    for sigma1, u in cases:
+        p = PhysicalParams(V=2.0, sigma1=sigma1)
+        solver = FieldSolver(p, build_canonical_boundary_data(PhysicalParams(V=2.0)), FieldGrid(16, 8, 8))
+        solver.solve(flat)  # condense the layer first
+        factored.clear()
+        pf = solver.solve(u)
+        assert factored == [8 * 15] and not isinstance(pf.factor, memsplate.fields._SineSolver)
+
+
+def test_a_wrong_sine_solve_raises(setup, monkeypatch):
+    p, fam, grid, solver = setup
+    monkeypatch.setattr(memsplate.fields._SineSolver, "solve", lambda self, b: np.zeros_like(b))
+    with pytest.raises(LinearSolveFailed):
+        solver.solve(PlateState.zero(grid))
+
+
+def test_trials_held_on_the_flat_solver_match_direct_solves(setup):
+    p, fam, grid, solver = setup
+    held = solver.solve(PlateState.zero(grid)).factor
+    assert isinstance(held, memsplate.fields._SineSolver)
+    free = node_numbers(solver)[1:-1, 1:-1].ravel()
+    for a in (0.05, 0.1, 0.15):
+        u = interpolate(grid, lambda x: -a * np.cos(np.pi * x / 2) ** 2,
+                        lambda x: a * np.pi / 2 * np.sin(np.pi * x))
+        pf, ref = solver.solve(u, factor=held), solver.solve(u)
+        assert pf.factor is held and pf.cg_iterations >= 1, a
+        Aff, rhs, _ = free_block(solver, solver.gap_map(u))
+        assert pf.residual <= solver.tol_lin * np.linalg.norm(rhs), a
+        # error e = Aff^-1 r: |e| <= |r| / lambda_min
+        err = pf.residual / np.linalg.eigvalsh(Aff.toarray())[0]
+        x, x_ref = (np.concatenate([f.psi1, f.psi2[1:]]).ravel()[free] for f in (pf, ref))
+        assert np.max(np.abs(x - x_ref)) <= err + 1e-13, a
+
+
 def _thread_ticks():
     """CPU clock ticks (user + system) so far of this process's main thread and of its other threads."""
     main = others = 0
@@ -464,7 +540,7 @@ def _thread_ticks():
     return main, others
 
 
-def test_held_factor_solves_keep_other_threads_idle():
+def _assert_held_solves_keep_other_threads_idle(held_at, amplitudes):
     # a BLAS reduction over a long vector wakes numpy's BLAS thread pool, whose
     # workers then spin: CG and the residual norms must sum with numpy's own
     # loops, so the other threads gain no CPU time over a run of held-factor solves
@@ -478,13 +554,24 @@ def test_held_factor_solves_keep_other_threads_idle():
     solver = FieldSolver(p, build_canonical_boundary_data(p), FieldGrid(128, 16, 80))
     f = lambda a: interpolate(grid, lambda x: -a * np.cos(np.pi * x / 2) ** 2,
                               lambda x: a * np.pi / 2 * np.sin(np.pi * x))
-    held = solver.solve(f(0.30)).factor
+    held = solver.solve(f(held_at)).factor
     time.sleep(0.5)  # let workers woken before this test settle
     main0, others0 = _thread_ticks()
-    for a in np.linspace(0.30, 0.40, 15):
+    for a in amplitudes:
         assert solver.solve(f(a), factor=held).factor is held
     main1, others1 = _thread_ticks()
     assert others1 - others0 <= max(2, 0.1 * (main1 - main0)), (main1 - main0, others1 - others0)
+    return held
+
+
+def test_held_factor_solves_keep_other_threads_idle():
+    _assert_held_solves_keep_other_threads_idle(0.30, np.linspace(0.30, 0.40, 15))
+
+
+def test_held_sine_solves_keep_other_threads_idle():
+    # the flat state's solver: numpy's FFT and LAPACK's tridiagonal sweeps do not wake the BLAS pool either
+    held = _assert_held_solves_keep_other_threads_idle(0.0, np.linspace(0.0, 0.10, 15))
+    assert isinstance(held, memsplate.fields._SineSolver)
 
 
 @pytest.mark.parametrize("varying_layer", [False, True])

@@ -351,9 +351,10 @@ def test_cli_solve_solves_only_inside_the_descent(tmp_path, monkeypatch):
 
 
 def test_cli_solve_factors_the_field_once_without_contact(tmp_path, monkeypatch):
-    # line-search trials reuse the factor of the first field solve as a CG
-    # preconditioner, so a contact-free descent factors the gap block exactly
-    # once; with no layer condensation kept, the layer is factored once too
+    # line-search trials reuse the solver of the first field solve as a CG
+    # preconditioner.  That solve is of the flat rest state, whose gap block the
+    # sine transform solves without SuperLU, so a contact-free descent factors
+    # only the layer, once, with no layer condensation kept
     import memsplate.fields
 
     real = memsplate.fields.spla
@@ -378,8 +379,8 @@ def test_cli_solve_factors_the_field_once_without_contact(tmp_path, monkeypatch)
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["grid"]["n_elems"] == 32 and cert["n_contact_nodes"] == 0
     assert sum(r["ls_trials"] for r in recs) > 1
-    # the layer interior (15 x 31 nodes), then the interface row and the gap interior (16 x 31)
-    assert factored == [15 * 31, 16 * 31]
+    # the layer interior (15 x 31 nodes); the interface row and the gap interior are never factored
+    assert factored == [15 * 31]
     assert sum(r["factorizations"] for r in recs) == 0
 
 

@@ -287,3 +287,26 @@ def test_continuation_flags_out_of_range_constants():
     assert not cert["within_certified_range"]
     assert cert["constants"] == ctx.constants.as_dict()
     assert cert["kappa0"] == ctx.constants.kappa0
+
+
+def test_a_missed_cg_is_not_tried_again_within_a_line_search(monkeypatch):
+    # once a trial's CG misses and that trial factors, the rest of the line
+    # search factors directly: one CG attempt per line search, and every trial factors
+    import memsplate.fields
+
+    attempts = []
+
+    def missing_pcg(S, b, factor, atol, steps):
+        attempts.append(steps)
+        return np.zeros_like(b), steps, False
+
+    monkeypatch.setattr(memsplate.fields, "_pcg", missing_pcg)
+    ctx = make_context(PhysicalParams(V=11.0), n_elems=16, field_grid=FieldGrid(16, 8, 8))
+    u, rep, cert = continuation_pipeline(ctx)
+    assert cert["certified"]
+    searches = [r for r in rep.trajectory if r["ls_trials"]]
+    assert any(r["ls_trials"] > 1 for r in searches)
+    assert len(attempts) == len(searches)
+    for r in searches:
+        assert r["cg_iterations"] == memsplate.fields._PCG_MAXIT
+        assert r["factorizations"] == r["ls_trials"]
