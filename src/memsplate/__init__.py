@@ -46,14 +46,10 @@ from .params import (
     DerivedConstants,
     PhysicalParams,
     build_canonical_boundary_data,
-    build_varying_potential_family,
     compute_A,
-    compute_K_and_G0,
     compute_m_constants,
     derive_constants,
-    family_invariant_report,
     sigma_bar,
-    validate_family,
 )
 from .verify import (
     CoincidenceReport,

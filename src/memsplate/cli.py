@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__
 from .errors import (
-    AssumptionViolated,
     ConfigError,
     IncompatibleState,
     MalformedState,
@@ -65,7 +64,7 @@ def _constants_of(bundle: ConfigBundle) -> DerivedConstants:
     p = bundle.params
     try:
         return derive_constants(p, build_canonical_boundary_data(p))
-    except (UnboundedGrowth, AssumptionViolated) as exc:
+    except UnboundedGrowth as exc:
         raise ConfigError(f"V={p.V:g}: {exc}") from exc
 
 
@@ -150,7 +149,7 @@ def _sweep_point(bundle: ConfigBundle, constants: DerivedConstants) -> dict:
 def _run_sweep_point(ctx: SolveContext, warm: PlateState, V: float) -> dict:
     """One sweep point from ``warm`` (rest when None): its row, certificate and state."""
     u, report, certificate = continuation_pipeline(ctx, warm)
-    coin = check_coincidence_interval(u, ctx.p.H, constant_potential=ctx.family.constant_potential)
+    coin = check_coincidence_interval(u, ctx.p.H)
     return {
         "V": V,
         "status": certificate["status"],

@@ -17,10 +17,6 @@ class UnboundedGrowth(MemsPlateError):
     """Grid maximization of a growth constant keeps increasing under refinement."""
 
 
-class AssumptionViolated(MemsPlateError):
-    """A structural assumption on the boundary data family fails beyond tolerance."""
-
-
 class SingularAssembly(MemsPlateError):
     """Element size underflowed; assembly would be singular."""
 
@@ -31,10 +27,6 @@ class LinearSolveFailed(MemsPlateError):
 
 class MissingTrace(MemsPlateError):
     """Potential field has no trace at a plate node (its columns miss the node)."""
-
-
-class NonCanonicalFamily(MemsPlateError):
-    """Closed-form evaluation requested for a family that is not the builtin one."""
 
 
 class InfeasiblePerturbation(MemsPlateError):

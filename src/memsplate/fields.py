@@ -661,9 +661,9 @@ class FieldSolver:
         Differentiates the mapped-gap quadratic form through its geometry
         coefficients (gamma, gamma') at the quadrature points, through the
         floor's w(u) (on the layer they do not move with u).  The
-        Dirichlet values do not move with u for any family built here: the
-        plate row holds h2(x, w, w) = v(x), the ends are clamped at u = 0 and
-        the electrode is grounded.  So the geometric term is the whole
+        Dirichlet values do not move with u: the plate row holds
+        h2(x, w, w) = V, the ends are clamped at u = 0 and the electrode is
+        grounded.  So the geometric term is the whole
         gradient, and it is consistent with the energy to machine precision,
         where the trace-formula force is consistent only to the order of the
         scheme.

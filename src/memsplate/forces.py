@@ -3,9 +3,9 @@
 The force density at a plate node combines the vertical trace derivative of
 the gap potential on the plate with the boundary-data partials there, both at
 the floored plate height w of the field (see ``fields``): on the contact set
-the gap is eps to 1.2 eps thin and the same formula applies.  For constant-potential
-data the correction terms vanish identically and the force is the
-nonnegative square term alone.
+the gap is eps to 1.2 eps thin and the same formula applies.  The plate is
+held at the constant potential V, so the correction terms vanish identically
+and the force is the nonnegative square term alone.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasiblePerturbation, MissingTrace, NonCanonicalFamily
+from .errors import InfeasiblePerturbation, MissingTrace
 from .fields import FieldSolver, PotentialField
 from .hermite import PlateState, assemble_mass
 from .params import BoundaryDataFamily, PhysicalParams
@@ -64,10 +64,8 @@ def compute_force(
     return ForceProfile(xs, g, frak, gm.contact[cols])
 
 
-def force_analytic_flat(c: float, family: BoundaryDataFamily, p: PhysicalParams) -> float:
-    """Closed-form force density for a flat plate at height c with the builtin family."""
-    if not family.is_canonical:
-        raise NonCanonicalFamily("closed-form force applies to the builtin family only")
+def force_analytic_flat(c: float, p: PhysicalParams) -> float:
+    """Closed-form force density for a flat plate at height c."""
     if c < -p.H:
         raise ValueError("flat height below the layer")
     s1 = float(p.sigma1)  # type: ignore[arg-type]

@@ -185,7 +185,6 @@ class ConfigBundle:
     """Everything a run needs, parsed and validated."""
 
     params: PhysicalParams
-    family_tag: str
     n_elems: int
     field_grid: FieldGrid
     settings: SolverSettings
@@ -195,8 +194,7 @@ class ConfigBundle:
         snap = dict(self.snapshot)
         snap["physics"] = dict(snap["physics"], v=float(V))
         return ConfigBundle(
-            self.params.with_V(V), self.family_tag, self.n_elems,
-            self.field_grid, self.settings, snap,
+            self.params.with_V(V), self.n_elems, self.field_grid, self.settings, snap,
         )
 
 
@@ -237,11 +235,10 @@ def parse_config(path) -> ConfigBundle:
     except ValueError as exc:
         raise ConfigError(f"invalid physics: {exc}") from exc
 
-    family_tag = "canonical"
     if "boundary" in cp:
-        family_tag = cp["boundary"].get("family", "canonical").strip()
-        if family_tag != "canonical":
-            raise ConfigError(f"unsupported boundary family '{family_tag}' (only 'canonical')")
+        family = cp["boundary"].get("family", "canonical").strip()
+        if family != "canonical":
+            raise ConfigError(f"unsupported boundary family '{family}' (only 'canonical')")
 
     g = cp["grid"] if "grid" in cp else {}
     try:
@@ -272,11 +269,11 @@ def parse_config(path) -> ConfigBundle:
 
     snapshot = {
         "physics": {k: float(phys.get(k)) for k in _PHYSICS_KEYS},
-        "boundary": {"family": family_tag},
+        "boundary": {"family": "canonical"},
         "grid": {"n_elems": n_elems, "n_x": n_x, "n_z1": n_z1, "n_z2": n_z2},
         "solver": {
             "tol_lin": settings.tol_lin, "max_outer": settings.max_outer,
             "tol_vi_factor": settings.tol_vi_factor,
         },
     }
-    return ConfigBundle(params, family_tag, n_elems, fgrid, settings, snapshot)
+    return ConfigBundle(params, n_elems, fgrid, settings, snapshot)

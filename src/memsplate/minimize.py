@@ -45,7 +45,6 @@ from .params import (
     PhysicalParams,
     build_canonical_boundary_data,
     derive_constants,
-    validate_family,
 )
 
 __all__ = [
@@ -162,20 +161,13 @@ class SolveContext:
 
 def make_context(
     p: PhysicalParams,
-    family: BoundaryDataFamily = None,
     constants: DerivedConstants = None,
     n_elems: int = 128,
     field_grid: FieldGrid = None,
     settings: SolverSettings = None,
 ) -> SolveContext:
-    """Assemble everything reusable for a device: matrices, field solver, constants.
-
-    A family passed in must first pass ``validate_family``.
-    """
-    if family is None:
-        family = build_canonical_boundary_data(p)
-    else:
-        validate_family(family, p)
+    """Assemble everything reusable for a device: matrices, field solver, constants."""
+    family = build_canonical_boundary_data(p)
     constants = constants if constants is not None else derive_constants(p, family)
     settings = settings if settings is not None else SolverSettings()
     plate = PlateGrid(n_elems, p.L)

@@ -1,14 +1,15 @@
-"""Device parameters, boundary-data families, and derived constants.
+"""Device parameters, the boundary-data family, and derived constants.
 
-The builtin boundary family is the one-dimensional transmission profile
+The boundary-data family is the one-dimensional transmission profile
 (the potential that is linear-in-z within each dielectric for a flat plate):
 
     h1(x, z, w) = V s2 (z + H + d) / (s2 d + s1 (w + H))        in the layer,
     h2(x, z, w) = V (s1 (z + H) + s2 d) / (s2 d + s1 (w + H))   in the gap,
 
 which satisfies the interface matching and flux-matching identities exactly,
-grounds the bottom electrode, and holds the plate at potential V.  Growth
-and trace constants used by the energy regularization are certified by grid
+grounds the bottom electrode, and holds the plate at potential V.  The plate
+trace is that constant, so the trace constant K is the floor EPS_M.  The
+growth constants used by the energy regularization are certified by grid
 maximization over the working deflection range and inflated by a small
 safety factor.
 """
@@ -21,18 +22,14 @@ from typing import Callable, Union
 import numpy as np
 
 from .bounds import kappa0_bound
-from .errors import AssumptionViolated, NonConstantPermittivity, UnboundedGrowth
+from .errors import NonConstantPermittivity, UnboundedGrowth
 
 __all__ = [
     "PhysicalParams",
     "BoundaryDataFamily",
     "DerivedConstants",
     "build_canonical_boundary_data",
-    "build_varying_potential_family",
-    "family_invariant_report",
-    "validate_family",
     "compute_m_constants",
-    "compute_K_and_G0",
     "compute_A",
     "sigma_bar",
     "derive_constants",
@@ -44,13 +41,12 @@ EPS_M = 1e-12  # floor for certified constants that are structurally zero
 SAFETY = 1.05  # inflation factor on grid-maximized constants
 
 # sampling of the certified maxima: w grid (its even points are the coarse grid),
-# local refinement, and the x / z samples of the growth ratios and the trace
+# local refinement, and the x / z samples of the growth ratios
 _N_W = 601
 _N_REFINE = 101
 _REFINE_PASSES = 2
 _N_X_M = 33
 _N_ZT = 41
-_N_X_K = 101
 
 Sigma1 = Union[float, Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
@@ -133,8 +129,6 @@ class BoundaryDataFamily:
     being evaluated.  A result broadcasts against the inputs but need not have
     their full shape: data that do not depend on x carry no x axis (the
     builtin h1 of x (n,1,1), z (1,m,1), w (1,1,k) has shape (1,m,k)).
-    ``constant_potential`` records whether the bottom electrode is grounded
-    and the plate held at the fixed value V.
     """
 
     h1: Callable
@@ -145,118 +139,47 @@ class BoundaryDataFamily:
     dx_h2: Callable
     dz_h2: Callable
     dw_h2: Callable
-    tag: str
-    V: float
-    constant_potential: bool = True
-
-    @property
-    def is_canonical(self) -> bool:
-        return self.tag == "builtin-canonical"
 
 
-def _transmission_family(
-    p: PhysicalParams, v: Callable, dv: Callable, tag: str, constant_potential: bool
-) -> BoundaryDataFamily:
-    """Transmission profile with plate potential v(x) and its derivative dv(x).
-
-    v and dv receive x as given; numpy broadcasts the arithmetic, so denom(w)
-    runs on w's own shape.
-    """
+def build_canonical_boundary_data(p: PhysicalParams) -> BoundaryDataFamily:
+    """Transmission-profile family with the plate held at V; requires a spatially uniform layer."""
     if not p.sigma1_is_constant:
-        raise NonConstantPermittivity(
-            "transmission-profile family needs constant sigma1; supply a family explicitly"
-        )
+        raise NonConstantPermittivity("transmission-profile family needs constant sigma1")
     s1 = float(p.sigma1)  # type: ignore[arg-type]
-    s2, d, H = p.sigma2, p.d, p.H
+    s2, d, H, V = p.sigma2, p.d, p.H, p.V
 
     def denom(w):
         return s2 * d + s1 * (w + H)
 
     def h1(x, z, w):
-        return v(x) * s2 * (z + H + d) / denom(w)
+        return V * s2 * (z + H + d) / denom(w)
 
     def h2(x, z, w):
-        return v(x) * (s1 * (z + H) + s2 * d) / denom(w)
+        return V * (s1 * (z + H) + s2 * d) / denom(w)
 
     def dx_h1(x, z, w):
-        return dv(x) * s2 * (z + H + d) / denom(w)
+        return 0.0 * s2 * (z + H + d) / denom(w)
 
     def dz_h1(x, z, w):
-        return v(x) * s2 / denom(w) + 0.0 * z
+        return V * s2 / denom(w) + 0.0 * z
 
     def dw_h1(x, z, w):
-        return -v(x) * s2 * s1 * (z + H + d) / denom(w) ** 2
+        return -V * s2 * s1 * (z + H + d) / denom(w) ** 2
 
     def dx_h2(x, z, w):
-        return dv(x) * (s1 * (z + H) + s2 * d) / denom(w)
+        return 0.0 * (s1 * (z + H) + s2 * d) / denom(w)
 
     def dz_h2(x, z, w):
-        return v(x) * s1 / denom(w) + 0.0 * z
+        return V * s1 / denom(w) + 0.0 * z
 
     def dw_h2(x, z, w):
-        return -v(x) * s1 * (s1 * (z + H) + s2 * d) / denom(w) ** 2
+        return -V * s1 * (s1 * (z + H) + s2 * d) / denom(w) ** 2
 
     return BoundaryDataFamily(
         h1=h1, h2=h2,
         dx_h1=dx_h1, dz_h1=dz_h1, dw_h1=dw_h1,
         dx_h2=dx_h2, dz_h2=dz_h2, dw_h2=dw_h2,
-        tag=tag, V=p.V, constant_potential=constant_potential,
     )
-
-
-def build_canonical_boundary_data(p: PhysicalParams) -> BoundaryDataFamily:
-    """Builtin transmission-profile family; requires a spatially uniform layer."""
-    V = p.V
-    return _transmission_family(p, lambda x: V, lambda x: 0.0, "builtin-canonical", True)
-
-
-def build_varying_potential_family(p: PhysicalParams, v_of_x: Callable, dv_of_x: Callable) -> BoundaryDataFamily:
-    """Transmission profile driven by an x-dependent plate potential v(x).
-
-    Keeps interface matching, flux matching, and grounding exactly, but the
-    plate is no longer at a constant potential, so the trace constant K is
-    genuinely positive.  Useful as a nontrivial admissible family in tests.
-    """
-    return _transmission_family(p, v_of_x, dv_of_x, "user-supplied", False)
-
-
-def family_invariant_report(f: BoundaryDataFamily, p: PhysicalParams, w_max: float = None, n: int = 41) -> dict:
-    """Max violation of the structural identities on a sample grid.
-
-    'matching' and 'flux' are required of every family; 'grounding' and
-    'plate_value' additionally hold for constant-potential families.
-    """
-    w_hi = 2.0 * p.H if w_max is None else w_max
-    x = np.linspace(-p.L, p.L, n)[:, None]
-    w = np.linspace(-p.H, w_hi, n)[None, :]
-    zi = -p.H
-    s1_iface = p.sigma1_at(x, np.full_like(x, zi))
-    matching = np.max(np.abs(f.h1(x, zi, w) - f.h2(x, zi, w)))
-    flux = np.max(np.abs(s1_iface * f.dz_h1(x, zi, w) - p.sigma2 * f.dz_h2(x, zi, w)))
-    grounding = np.max(np.abs(f.h1(x, -p.H - p.d, w)))
-    plate = np.max(np.abs(f.h2(x, w, w) - f.V))
-    return {
-        "matching": float(matching),
-        "flux": float(flux),
-        "grounding": float(grounding),
-        "plate_value": float(plate),
-    }
-
-
-def validate_family(f: BoundaryDataFamily, p: PhysicalParams, tol: float = 1e-10) -> dict:
-    """Raise AssumptionViolated when a required identity fails beyond tol."""
-    rep = family_invariant_report(f, p)
-    scale = max(1.0, abs(f.V))
-    for key in ("matching", "flux"):
-        if rep[key] > tol * scale:
-            raise AssumptionViolated(f"boundary family violates {key} identity: {rep[key]:.3e}")
-    if f.constant_potential:
-        for key in ("grounding", "plate_value"):
-            if rep[key] > tol * scale:
-                raise AssumptionViolated(
-                    f"family tagged constant-potential but violates {key}: {rep[key]:.3e}"
-                )
-    return rep
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -338,31 +261,6 @@ def compute_m_constants(f: BoundaryDataFamily, p: PhysicalParams, w_max: float) 
     return m1, m2, m3
 
 
-def compute_K_and_G0(f: BoundaryDataFamily, p: PhysicalParams, w_max: float) -> tuple[float, float]:
-    """Plate-trace gradient bound K and the force floor magnitude G0 = sigma2 K^2.
-
-    The builtin family holds the plate at h2(x, w, w) = V, so the trace gradient
-    dx_h2 + dz_h2 + dw_h2 is exactly zero there and K is the floor EPS_M; the
-    trace of any other family is sampled.
-    """
-    x = np.linspace(-p.L, p.L, _N_X_K)[:, None]
-    wchk = np.linspace(-p.H, w_max, 101)[None, :]
-    kb0 = np.max(np.abs(f.dw_h1(x, -p.H - p.d, wchk)))
-    if kb0 > 1e-10 * max(1.0, abs(f.V)):
-        raise AssumptionViolated(
-            f"dw_h1 at the grounded electrode must vanish; measured {kb0:.3e}"
-        )
-
-    def trace(w):
-        w = w[None, :]
-        return np.max(
-            np.abs(f.dx_h2(x, w, w)) + np.abs(f.dz_h2(x, w, w) + f.dw_h2(x, w, w)), axis=0
-        )
-
-    K = EPS_M if f.is_canonical else max(EPS_M, SAFETY * _certified_max(trace, -p.H, w_max, "K"))
-    return K, p.sigma2 * K**2
-
-
 def compute_A(m2: float, m3: float, sbar: float, d: float, beta: float) -> float:
     """Regularization strength: 8 (d+1) sbar (3 m2 / 2 + m3^2 (d+1) sbar / beta)."""
     if m2 < 0 or m3 < 0 or sbar < 0:
@@ -396,26 +294,18 @@ class DerivedConstants:
         }
 
 
-def derive_constants(p: PhysicalParams, f: BoundaryDataFamily, w_max: float = None) -> DerivedConstants:
-    """All derived constants, with the working range fixed by a short fixed point.
+def derive_constants(p: PhysicalParams, f: BoundaryDataFamily) -> DerivedConstants:
+    """All derived constants, on the working range [-H, 2 max(kappa0, H)].
 
-    The trace bound K is certified on [-H, w_max] while w_max itself is set
-    from the sup bound kappa0(G0(K)); iterating the pair settles in a few
-    rounds because K is nondecreasing in the range.
+    The plate trace h2(x, w, w) = V is constant, so its gradient
+    dx_h2 + dz_h2 + dw_h2 is exactly zero and the trace constant K is the
+    floor EPS_M, with the force floor magnitude G0 = sigma2 K^2.
     """
     sbar = sigma_bar(p)
-    w0 = w_max if w_max is not None else 2.0 * max(p.H, kappa0_bound(p.beta, p.tau, p.L, p.H, 0.0))
-    K = G0 = kappa0 = None
-    for _ in range(8):
-        K, G0 = compute_K_and_G0(f, p, w0)
-        kappa0 = kappa0_bound(p.beta, p.tau, p.L, p.H, G0)
-        w_new = 2.0 * max(kappa0, p.H)
-        if w_max is not None or w_new <= w0 * (1.0 + 1e-9):
-            w0 = max(w0, w_new) if w_max is None else w0
-            break
-        w0 = w_new
-    else:
-        raise UnboundedGrowth("working range for the trace bound did not settle")
+    K = EPS_M
+    G0 = p.sigma2 * K**2
+    kappa0 = kappa0_bound(p.beta, p.tau, p.L, p.H, G0)
+    w0 = 2.0 * max(kappa0, p.H)
     m1, m2, m3 = compute_m_constants(f, p, w0)
     A = compute_A(m2, m3, sbar, p.d, p.beta)
     out = DerivedConstants(

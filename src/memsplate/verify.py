@@ -48,7 +48,6 @@ class CoincidenceReport:
     is_interval: bool
     gaps: list
     tol_c: float
-    assumption_violated: bool
 
     @property
     def n_contact(self) -> int:
@@ -60,21 +59,13 @@ class CoincidenceReport:
             "is_interval": self.is_interval,
             "gaps": self.gaps,
             "tol_c": self.tol_c,
-            "assumption_violated": self.assumption_violated,
             "n_contact": self.n_contact,
         }
 
 
-def check_coincidence_interval(
-    u: PlateState, H: float, tol_c: float = None, constant_potential: bool = True
-) -> CoincidenceReport:
-    """Contact-node index set and whether it is contiguous.
-
-    The interval property is only guaranteed for constant-potential data; for
-    other families the report is still computed but flagged.
-    """
-    if tol_c is None:
-        tol_c = contact_threshold(u.grid.h, H)
+def check_coincidence_interval(u: PlateState, H: float) -> CoincidenceReport:
+    """Contact-node index set and whether it is contiguous."""
+    tol_c = contact_threshold(u.grid.h, H)
     idx = np.nonzero(u.values <= -H + tol_c)[0]
     gaps = []
     if len(idx) > 1:
@@ -85,7 +76,6 @@ def check_coincidence_interval(
         is_interval=len(gaps) == 0,
         gaps=gaps,
         tol_c=tol_c,
-        assumption_violated=not constant_potential,
     )
 
 
@@ -106,7 +96,7 @@ def run_suite(u: PlateState, ctx: SolveContext, k: float = None) -> dict:
     # the one field solve of the state; every check reads its results
     report_nrg = energy_total(u_field, k, ctx)
     # the one contact set of the state; the coincidence and comparison checks read it
-    coin = check_coincidence_interval(u, p.H, constant_potential=ctx.family.constant_potential)
+    coin = check_coincidence_interval(u, p.H)
 
     def chk_feasibility():
         return {
@@ -117,12 +107,8 @@ def run_suite(u: PlateState, ctx: SolveContext, k: float = None) -> dict:
         }
 
     def chk_force_floor():
-        floor = -c.G0 - 1e-8
         gmin = float(np.min(report_nrg.force.values))
-        ok = gmin >= floor
-        if ctx.family.constant_potential:
-            ok = ok and gmin >= -1e-8
-        return {"g_min": gmin, "floor": -c.G0, "pass": bool(ok)}
+        return {"g_min": gmin, "floor": -c.G0, "pass": bool(gmin >= -1e-8)}
 
     def chk_energy_identity():
         lhs = report_nrg.E_m + report_nrg.E_e
@@ -142,7 +128,7 @@ def run_suite(u: PlateState, ctx: SolveContext, k: float = None) -> dict:
 
     def chk_coincidence():
         out = coin.as_dict()
-        out["pass"] = bool(coin.is_interval or coin.assumption_violated)
+        out["pass"] = coin.is_interval
         return out
 
     def chk_comparison():

@@ -134,7 +134,7 @@ def test_criterion_1_flat_plate_oracles(ctx, params):
         err_ee = abs(Ee - Ee_exact) / abs(Ee_exact)
 
         g = compute_force(u, pf, fam, p)
-        g_exact = force_analytic_flat(c, fam, p)
+        g_exact = force_analytic_flat(c, p)
         err_g = np.max(np.abs(g.values - g_exact)) / g_exact
         dt = time.time() - t0
         assert dt <= 5.0

@@ -15,7 +15,6 @@ from memsplate import (
     PlateGrid,
     PlateState,
     build_canonical_boundary_data,
-    build_varying_potential_family,
     check_max_principle,
     interpolate,
 )
@@ -627,7 +626,7 @@ def test_layer_is_condensed_once_per_layer(monkeypatch):
     assert memsplate.fields._LAYER is again
 
 
-@pytest.mark.parametrize("state", ["contact-free", "contact", "varying-potential"])
+@pytest.mark.parametrize("state", ["contact-free", "contact"])
 def test_shape_gradient_matches_central_difference(setup, rng, state):
     # The directional derivative of E_e(u) = electrostatic_energy(solve(u)) along
     # random clamped directions w against <shape_gradient_load, w>.  At eps = 1e-6
@@ -635,15 +634,7 @@ def test_shape_gradient_matches_central_difference(setup, rng, state):
     # O(eps^2) truncation is far below that; the gaps measured on these states
     # were at most 1.1e-10 |E| (4e-12 to 1.2e-8 relative to the derivative), so
     # the bound is 1e-9 |E|, and every derivative tested exceeds it 1e6-fold.
-    # The varying-potential family has u-dependent data away from the plate
-    # row, yet its pinned values do not move with u.
-    p, fam, grid, solver = setup
-    if state == "varying-potential":
-        fam = build_varying_potential_family(
-            p, lambda x: p.V * (1.0 + 0.3 * np.sin(np.pi * x / p.L)),
-            lambda x: p.V * 0.3 * np.pi / p.L * np.cos(np.pi * x / p.L),
-        )
-        solver = FieldSolver(p, fam, solver.grid)
+    p, _, grid, solver = setup
     if state == "contact":
         u = interpolate(grid, lambda x: -p.H * np.cos(np.pi * x / 2) ** 2,
                         lambda x: p.H * np.pi / 2 * np.sin(np.pi * x))

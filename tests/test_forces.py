@@ -8,14 +8,13 @@ from memsplate import (
     PlateGrid,
     PlateState,
     build_canonical_boundary_data,
-    build_varying_potential_family,
     compute_force,
     directional_derivative_check,
     force_analytic_flat,
     interpolate,
     mechanical_energy,
 )
-from memsplate.errors import InfeasiblePerturbation, MissingTrace, NonCanonicalFamily
+from memsplate.errors import InfeasiblePerturbation, MissingTrace
 
 
 @pytest.fixture(scope="module")
@@ -42,31 +41,20 @@ def test_flat_plate_force_oracle(setup, c):
     p, fam, grid, solver = setup
     u = PlateState.constant(grid, c)
     g = compute_force(u, solver.solve(u), fam, p)
-    exact = force_analytic_flat(c, fam, p)
+    exact = force_analytic_flat(c, p)
     assert np.allclose(g.values[1:-1], exact, rtol=0.02)
     assert np.all(g.contact == False)  # noqa: E712
 
 
 def test_force_analytic_flat_values():
     p = PhysicalParams(V=2.0)  # sigma1=sigma2=d=H=1
-    fam = build_canonical_boundary_data(p)
-    assert force_analytic_flat(0.0, fam, p) == pytest.approx(0.5, rel=1e-14)
-    p0 = PhysicalParams(V=0.0)
-    assert force_analytic_flat(0.3, build_canonical_boundary_data(p0), p0) == 0.0
+    assert force_analytic_flat(0.0, p) == pytest.approx(0.5, rel=1e-14)
+    assert force_analytic_flat(0.3, PhysicalParams(V=0.0)) == 0.0
     # monotone decay as the plate moves away
-    vals = [force_analytic_flat(c, fam, p) for c in (0.0, 0.5, 1.0, 3.0)]
+    vals = [force_analytic_flat(c, p) for c in (0.0, 0.5, 1.0, 3.0)]
     assert all(vals[i] > vals[i + 1] for i in range(len(vals) - 1))
     with pytest.raises(ValueError):
-        force_analytic_flat(-2.0, fam, p)
-
-
-def test_force_analytic_requires_canonical(setup):
-    p, fam, grid, solver = setup
-    user = build_varying_potential_family(
-        p, lambda x: p.V * (1.0 + 0.0 * x), lambda x: 0.0 * x
-    )
-    with pytest.raises(NonCanonicalFamily):
-        force_analytic_flat(0.0, user, p)
+        force_analytic_flat(-2.0, p)
 
 
 def test_full_contact_branch(setup):
@@ -77,7 +65,7 @@ def test_full_contact_branch(setup):
     pf = solver.solve(u)
     g = compute_force(u, pf, fam, p)
     assert np.all(g.contact)
-    exact = force_analytic_flat(pf.gap.eps_contact - p.H, fam, p)
+    exact = force_analytic_flat(pf.gap.eps_contact - p.H, p)
     assert np.allclose(g.values, exact, rtol=1e-8)
 
 
@@ -90,26 +78,6 @@ def test_canonical_force_nonnegative_and_equals_square_term(setup, rng):
         g = compute_force(u, solver.solve(u), fam, p)
         assert np.array_equal(g.values, g.frak_g)  # correction terms vanish identically
         assert np.all(g.values >= 0.0)
-
-
-def test_force_floor_varying_potential_family(unit_params, rng):
-    p = unit_params
-    fam = build_varying_potential_family(
-        p, lambda x: p.V * (1.0 + 0.3 * np.sin(np.pi * x / p.L)),
-        lambda x: p.V * 0.3 * np.pi / p.L * np.cos(np.pi * x / p.L),
-    )
-    from memsplate import compute_K_and_G0
-
-    K, G0 = compute_K_and_G0(fam, p, w_max=4.0)
-    grid = PlateGrid(32, p.L)
-    solver = FieldSolver(p, fam, FieldGrid(32, 16, 16))
-    for _ in range(4):
-        dofs = rng.uniform(-0.8, 0.4, grid.n_dofs)
-        dofs[0::2] = np.maximum(dofs[0::2], -p.H + 0.05)
-        u = PlateState(grid, dofs)
-        g = compute_force(u, solver.solve(u), fam, p)
-        assert np.all(g.values >= -G0 - 1e-8)
-        assert np.all(g.frak_g >= 0.0)
 
 
 def test_force_scales_with_voltage_squared():

@@ -176,6 +176,23 @@ def test_cli_solve_malformed_config(tmp_path):
     assert rc == 2
 
 
+def test_config_accepts_only_the_canonical_boundary_family(tmp_path):
+    text = CONFIG_SMALL.format(V=2.0).replace("[grid]", "[boundary]\nfamily = canonical\n\n[grid]")
+    named = tmp_path / "named.ini"
+    named.write_text(text)
+    # naming the family changes nothing: the snapshot records it either way
+    assert parse_config(named).snapshot == parse_config(write_config(tmp_path)).snapshot
+    assert parse_config(named).snapshot["boundary"] == {"family": "canonical"}
+
+    user = tmp_path / "user.ini"
+    user.write_text(text.replace("family = canonical", "family = user"))
+    with pytest.raises(ConfigError, match="user"):
+        parse_config(user)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(user), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "old, new",
     [

@@ -6,7 +6,6 @@ from memsplate import (
     PhysicalParams,
     PlateState,
     SolverSettings,
-    build_varying_potential_family,
     coercivity_check,
     coercivity_constant,
     continuation_pipeline,
@@ -15,7 +14,7 @@ from memsplate import (
 )
 from conftest import random_feasible_state
 
-from memsplate.errors import AssumptionViolated, MaxIterations, StalledDescent
+from memsplate.errors import MaxIterations, StalledDescent
 from memsplate.minimize import minimize_Ek, penalty_value_grad, tol_vi_for
 
 
@@ -110,29 +109,6 @@ def test_small_voltage_descent_certificate(solved32, ctx32):
     viol[~ctx32._free] = 0.0
     assert np.max(viol) <= rep.tol_vi
     assert not rep.reg_active and rep.n_contact_nodes == 0
-
-
-def test_make_context_validates_a_family_passed_in(unit_params, canonical):
-    from dataclasses import replace
-
-    # breaks interface matching: h1 = h2 + 0.1
-    f = replace(canonical, h1=lambda x, z, w: canonical.h2(x, z, w) + 0.1, tag="user-supplied")
-    with pytest.raises(AssumptionViolated, match="matching"):
-        make_context(unit_params, family=f, n_elems=16, field_grid=FieldGrid(16, 8, 8))
-
-
-def test_varying_potential_family_certifies():
-    # u-dependent boundary data: the descent and the certificate use the same
-    # exact gradient as for the builtin family
-    p = PhysicalParams(V=2.0)
-    fam = build_varying_potential_family(
-        p, lambda x: p.V * (1.0 + 0.3 * np.sin(np.pi * x / p.L)),
-        lambda x: p.V * 0.3 * np.pi / p.L * np.cos(np.pi * x / p.L),
-    )
-    ctx = make_context(p, family=fam, n_elems=16, field_grid=FieldGrid(16, 8, 8))
-    u, rep = minimize_Ek(ctx.zero_state(), max(ctx.constants.kappa0, p.H), ctx)
-    assert rep.converged and rep.vi_residual <= rep.tol_vi
-    assert rep.iterations > 0 and u.is_feasible(p.H)
 
 
 def test_descent_monotone_and_feasible(solved32, ctx32):
@@ -250,6 +226,17 @@ def test_continuation_records_a_failed_descent(settings, status):
     assert cert["vi_residual"] > cert["tol_vi"] and cert["energy_below_rest"]
     assert rep.potential is not None and rep.force is not None
     assert u.is_feasible(ctx.p.H) and np.any(u.dofs != 0.0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect, ROADMAP item 2: a cold reduced-device solve just past pull-in "
+    "ends MaxIterations uncertified",
+)
+def test_cold_solve_just_past_pull_in_certifies():
+    ctx = make_context(PhysicalParams(V=5.65), n_elems=32, field_grid=FieldGrid(32, 16, 16))
+    u, rep, cert = continuation_pipeline(ctx)
+    assert cert["certified"], (cert["status"], rep.iterations, rep.vi_residual, rep.tol_vi)
 
 
 def test_tol_vi_scaling(ctx32):

@@ -6,17 +6,13 @@ from hypothesis import strategies as st
 from memsplate import (
     PhysicalParams,
     build_canonical_boundary_data,
-    build_varying_potential_family,
     compute_A,
-    compute_K_and_G0,
     compute_m_constants,
     derive_constants,
-    family_invariant_report,
     kappa0_bound,
     sigma_bar,
-    validate_family,
 )
-from memsplate.errors import AssumptionViolated, NonConstantPermittivity, UnboundedGrowth
+from memsplate.errors import NonConstantPermittivity, UnboundedGrowth
 import memsplate.params
 from memsplate.params import EPS_M, SAFETY, _certified_max
 
@@ -38,9 +34,20 @@ def test_param_validation():
 
 
 def test_canonical_structural_identities(unit_params, canonical):
-    rep = family_invariant_report(canonical, unit_params)
-    for key in ("matching", "flux", "grounding", "plate_value"):
-        assert rep[key] <= 1e-12
+    # interface matching and flux matching at z = -H, the grounded electrode at
+    # z = -H - d and the plate held at V, on deflections in [-H, 2H]
+    p, f = unit_params, canonical
+    x = np.linspace(-p.L, p.L, 41)[:, None]
+    w = np.linspace(-p.H, 2.0 * p.H, 41)[None, :]
+    zi = -p.H
+    residuals = {
+        "matching": f.h1(x, zi, w) - f.h2(x, zi, w),
+        "flux": p.sigma1 * f.dz_h1(x, zi, w) - p.sigma2 * f.dz_h2(x, zi, w),
+        "grounding": f.h1(x, -p.H - p.d, w),
+        "plate_value": f.h2(x, w, w) - p.V,
+    }
+    for key, r in residuals.items():
+        assert np.max(np.abs(r)) <= 1e-12, key
 
 
 def test_canonical_grounding_and_plate_rows(canonical, unit_params):
@@ -95,14 +102,15 @@ def test_m_constants_canonical_values(unit_params, canonical):
     assert m3 == pytest.approx(SAFETY * p.V**2, rel=1e-2)
 
 
-def test_K_canonical_at_floor(unit_params, canonical):
-    p = unit_params
-    K, G0 = compute_K_and_G0(canonical, p, w_max=4.0)
-    assert K == EPS_M
-    assert G0 == p.sigma2 * EPS_M**2
+def test_K_canonical_at_floor():
+    p = PhysicalParams(V=2.0)
+    canonical = build_canonical_boundary_data(p)
+    c = derive_constants(p, canonical)
+    assert c.K == EPS_M
+    assert c.G0 == p.sigma2 * EPS_M**2
     # trace identities behind it, checked directly
     x = np.linspace(-p.L, p.L, 33)[:, None]
-    w = np.linspace(-p.H, 4.0, 33)[None, :]
+    w = np.linspace(-p.H, c.w_max, 33)[None, :]
     assert np.max(np.abs(canonical.dx_h2(x, w, w))) <= 1e-12
     assert np.max(np.abs(canonical.dz_h2(x, w, w) + canonical.dw_h2(x, w, w))) <= 1e-12
 
@@ -132,32 +140,10 @@ def test_overflowing_constants_raise_unbounded_growth():
             assert str(exc.value) == "m1 (layer) samples are not finite: they overflow (or are NaN)"
 
 
-def test_K_user_family_with_offset_trace(unit_params, canonical):
-    from dataclasses import replace
-
-    f = replace(
-        canonical,
-        dx_h2=lambda x, z, w: np.full(np.broadcast(x, z, w).shape, 0.5),
-        tag="user-supplied",
-    )
-    K, G0 = compute_K_and_G0(f, unit_params, w_max=4.0)
-    assert K == pytest.approx(0.525, rel=1e-12)
-    assert G0 == pytest.approx(unit_params.sigma2 * 0.525**2, rel=1e-12)
-
-
 def test_K_zero_voltage_floor():
     p = PhysicalParams(V=0.0)
-    f = build_canonical_boundary_data(p)
-    K, G0 = compute_K_and_G0(f, p, w_max=4.0)
-    assert K == EPS_M and G0 == p.sigma2 * EPS_M**2
-
-
-def test_kbound0_violation_detected(unit_params, canonical):
-    from dataclasses import replace
-
-    f = replace(canonical, dw_h1=lambda x, z, w: np.full(np.broadcast(x, z, w).shape, 0.3))
-    with pytest.raises(AssumptionViolated):
-        compute_K_and_G0(f, unit_params, w_max=4.0)
+    c = derive_constants(p, build_canonical_boundary_data(p))
+    assert c.K == EPS_M and c.G0 == p.sigma2 * EPS_M**2
 
 
 def test_compute_A_hand_values():
@@ -188,33 +174,9 @@ def test_unbounded_growth_detected(unit_params, canonical):
     f = replace(
         canonical,
         dw_h2=lambda x, z, w: 1.0 / (np.broadcast_arrays(x, z, w)[2] + 1.0 + 1e-12),
-        tag="user-supplied",
     )
     with pytest.raises(UnboundedGrowth):
         compute_m_constants(f, unit_params, w_max=4.0)
-
-
-def test_varying_potential_family(unit_params):
-    p = unit_params
-    fam = build_varying_potential_family(
-        p, lambda x: p.V * (1.0 + 0.3 * np.sin(np.pi * x / p.L)),
-        lambda x: p.V * 0.3 * np.pi / p.L * np.cos(np.pi * x / p.L),
-    )
-    rep = validate_family(fam, p)  # matching/flux must hold; plate value may not
-    assert rep["matching"] <= 1e-12 and rep["flux"] <= 1e-12 and rep["grounding"] <= 1e-12
-    assert not fam.constant_potential
-    K, G0 = compute_K_and_G0(fam, p, w_max=4.0)
-    # dx_h2(x, w, w) = V'(x); the vertical trace combination still cancels
-    assert K == pytest.approx(SAFETY * p.V * 0.3 * np.pi / p.L, rel=1e-3)
-    assert G0 == pytest.approx(p.sigma2 * K**2, rel=1e-14)
-
-
-def test_validate_family_rejects_broken_matching(unit_params, canonical):
-    from dataclasses import replace
-
-    f = replace(canonical, h1=lambda x, z, w: canonical.h2(x, z, w) + 0.1, tag="user-supplied")
-    with pytest.raises(AssumptionViolated):
-        validate_family(f, unit_params)
 
 
 def test_derive_constants_deterministic(unit_params, canonical):
@@ -290,19 +252,12 @@ def _assert_matches_reference(eval_on_w, w_lo, w_hi, label):
 
 
 def _device_case(case):
-    """(params, family) for a case id: "V<volts>", "tau0.5" (V=3) or "varying" (V=2)."""
-    if case == "varying":
-        p = PhysicalParams(V=2.0)
-        f = build_varying_potential_family(
-            p, lambda x: p.V * (1.0 + 0.3 * np.sin(np.pi * x)), lambda x: p.V * 0.3 * np.pi * np.cos(np.pi * x)
-        )
-    else:
-        p = PhysicalParams(V=3.0, tau=0.5) if case == "tau0.5" else PhysicalParams(V=float(case[1:]))
-        f = build_canonical_boundary_data(p)
-    return p, f
+    """(params, family) for a case id: "V<volts>" or "tau0.5" (V=3)."""
+    p = PhysicalParams(V=3.0, tau=0.5) if case == "tau0.5" else PhysicalParams(V=float(case[1:]))
+    return p, build_canonical_boundary_data(p)
 
 
-@pytest.mark.parametrize("case", ["V0", "V1", "V3", "V11", "tau0.5", "varying"])
+@pytest.mark.parametrize("case", ["V0", "V1", "V3", "V11", "tau0.5"])
 def test_certified_max_matches_two_pass_reference(case, monkeypatch):
     p, f = _device_case(case)
     calls = []
@@ -313,10 +268,8 @@ def test_certified_max_matches_two_pass_reference(case, monkeypatch):
 
     monkeypatch.setattr(memsplate.params, "_certified_max", recording)
     derive_constants(p, f)
-    labels = [c[3] for c in calls]
-    assert labels[-4:] == ["m1 (layer)", "m1 (gap)", "m3 (layer)", "m3 (gap)"]
-    # the builtin family's K is its closed form, not sampled
-    assert set(labels[:-4]) == (set() if f.is_canonical else {"K"})
+    # K is the floor, not sampled: only the four growth ratios are
+    assert [c[3] for c in calls] == ["m1 (layer)", "m1 (gap)", "m3 (layer)", "m3 (gap)"]
     for eval_on_w, w_lo, w_hi, label in calls:
         _assert_matches_reference(eval_on_w, w_lo, w_hi, label)
 
@@ -400,24 +353,6 @@ def test_builtin_family_carries_no_x_axis(p):
         assert np.array_equal(np.broadcast_to(got, ref.shape), ref), name
 
 
-def test_varying_family_keeps_full_shape():
-    p = PhysicalParams(V=2.0)
-
-    def v(x):
-        return p.V * (1.0 + 0.3 * np.sin(np.pi * x))
-
-    def dv(x):
-        return p.V * 0.3 * np.pi * np.cos(np.pi * x)
-
-    f = build_varying_potential_family(p, v, dv)
-    x, z, w = _shape_samples(p)
-    reference = _materialized_family(p, v, dv, x, z, w)
-    for name, ref in reference.items():
-        got = getattr(f, name)(x, z, w)
-        assert got.shape == ref.shape == (x.shape[0], z.shape[1], w.shape[2]), name
-        assert np.array_equal(got, ref), name
-
-
 # derive_constants(...).as_dict() recorded when the family still broadcast its inputs
 # to the full (x, z, w) block, as float.hex strings
 _GOLDEN_CONSTANTS = {
@@ -425,7 +360,6 @@ _GOLDEN_CONSTANTS = {
     "V2": {"sigma_bar": "0x1.0000000000000p+0", "m1": "0x1.0cccccccccccdp+2", "m2": "0x1.19799812dea11p-40", "m3": "0x1.0cccccccccccdp+2", "K": "0x1.19799812dea11p-40", "G0": "0x1.357c299a88ea7p-80", "A": "0x1.1a3d70a3d7177p+9", "kappa0": "0x1.9000000000000p+4", "w_max": "0x1.9000000000000p+5", "eps_m": "0x1.19799812dea11p-40"},
     "V11": {"sigma_bar": "0x1.0000000000000p+0", "m1": "0x1.fc33333333334p+6", "m2": "0x1.19799812dea11p-40", "m3": "0x1.fc33333333334p+6", "K": "0x1.19799812dea11p-40", "G0": "0x1.357c299a88ea7p-80", "A": "0x1.f86d9eb851ebap+18", "kappa0": "0x1.9000000000000p+4", "w_max": "0x1.9000000000000p+5", "eps_m": "0x1.19799812dea11p-40"},
     "tau0.5": {"sigma_bar": "0x1.0000000000000p+0", "m1": "0x1.2e66666666667p+3", "m2": "0x1.19799812dea11p-40", "m3": "0x1.2e66666666667p+3", "K": "0x1.19799812dea11p-40", "G0": "0x1.357c299a88ea7p-80", "A": "0x1.6535c28f5c2c6p+11", "kappa0": "0x1.4400000000000p+6", "w_max": "0x1.4400000000000p+7", "eps_m": "0x1.19799812dea11p-40"},
-    "varying": {"sigma_bar": "0x1.0000000000000p+0", "m1": "0x1.4ce8209cb80b2p+9", "m2": "0x1.19799812dea11p-40", "m3": "0x1.c645a1cac0832p+2", "K": "0x1.faad1279d94fdp+0", "G0": "0x1.f5685105d48a5p+1", "A": "0x1.930d8665e0356p+10", "kappa0": "0x1.5eb42882ea452p+6", "w_max": "0x1.5eb42882ea452p+7", "eps_m": "0x1.19799812dea11p-40"},
 }
 
 

@@ -66,13 +66,6 @@ def test_coincidence_two_islands_detected(ctx):
     assert rep.gaps == [(5, 20)]
 
 
-def test_coincidence_flags_nonconstant_potential(ctx):
-    rep = check_coincidence_interval(
-        PlateState.zero(ctx.plate), H=1.0, constant_potential=False
-    )
-    assert rep.assumption_violated
-
-
 def test_run_suite_all_mandatory_pass(ctx, solved):
     rep = run_suite(solved, ctx)
     assert rep["mandatory_pass"]
