@@ -40,7 +40,7 @@ from .io_files import (
     write_force_csv,
     write_json,
     write_plate_csv,
-    write_potential_csv,
+    write_potential_npy,
     write_trajectory,
 )
 from .minimize import EnergyReport, SolveContext, continuation_pipeline, make_context
@@ -93,15 +93,15 @@ def _manifest(bundle: ConfigBundle, ctx: SolveContext, outdir: Path, files: list
     }
 
 
-def _write_state_outputs(ctx: SolveContext, u, report: EnergyReport, outdir: Path) -> list:
-    """u.csv, psi.csv, g.csv, contact.csv, psi_meta.json for one state and its report."""
+def _write_state_outputs(u, report: EnergyReport, outdir: Path) -> list:
+    """u.csv, psi.npy, g.csv, contact.csv, psi_meta.json for one state and its report."""
     pf = report.potential
     write_plate_csv(outdir / "u.csv", u)
-    write_potential_csv(outdir / "psi.csv", pf, ctx.p.H)
+    write_potential_npy(outdir / "psi.npy", pf)
     write_contact_csv(outdir / "contact.csv", pf)
     write_json(outdir / "psi_meta.json", potential_meta(pf))
     write_force_csv(outdir / "g.csv", report.force)
-    return ["u.csv", "psi.csv", "contact.csv", "psi_meta.json", "g.csv"]
+    return ["u.csv", "psi.npy", "contact.csv", "psi_meta.json", "g.csv"]
 
 
 def cmd_solve(args) -> int:
@@ -119,7 +119,7 @@ def cmd_solve(args) -> int:
         return 3
     t_solved = time.time()
 
-    files = _write_state_outputs(ctx, u, report, outdir)
+    files = _write_state_outputs(u, report, outdir)
     write_json(outdir / "energy.json", report.as_dict())
     write_json(outdir / "certificate.json", certificate)
     write_trajectory(outdir / "trajectory.jsonl", report.trajectory)

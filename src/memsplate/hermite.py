@@ -243,6 +243,12 @@ def assemble_mass(grid: PlateGrid) -> sp.csr_matrix:
     return _assemble(grid, _element_matrix(grid.h, 0))
 
 
+def unit_energy_diagonal(grid: PlateGrid) -> np.ndarray:
+    """Diagonal of unit bending + stretching + mass, bitwise the assembled one: two element entries at most per DOF."""
+    dofs = grid.conn.ravel()
+    return sum(np.bincount(dofs, np.tile(np.diag(_element_matrix(grid.h, k)), grid.n_elems)) for k in (2, 1, 0))
+
+
 def mechanical_energy(u: PlateState, beta: float, tau: float) -> float:
     """(beta/2)||u''||^2 + (tau/2)||u'||^2 by exact elementwise quadrature."""
     xi, w = gauss_rule(4)

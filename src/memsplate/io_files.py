@@ -1,8 +1,11 @@
-"""File formats: CSV state serialization, JSON reports, config parsing.
+"""File formats: CSV state serialization, the potential as .npy, JSON reports, config parsing.
 
 CSV columns carry both a human-readable decimal field and a hex-float field;
-readers prefer the hex column, so round trips are bitwise exact.  JSON uses
-Python's shortest-repr floats, which also round-trip.
+readers prefer the hex column, so round trips are bitwise exact.  The nodal
+potential is one float64 array in NumPy's ``.npy`` format, which reads back
+bit for bit with ``np.load(path, allow_pickle=False)``; its coordinates live
+in ``psi_meta.json`` and ``contact.csv``.  JSON uses Python's shortest-repr
+floats, which also round-trip.
 """
 
 from __future__ import annotations
@@ -25,14 +28,11 @@ from .params import PhysicalParams
 __all__ = [
     "columns_to_csv",
     "write_plate_csv", "read_plate_csv",
-    "write_potential_csv",
+    "write_potential_npy",
     "write_force_csv", "write_contact_csv",
     "write_json", "write_trajectory", "sha256_of",
     "ConfigBundle", "parse_config",
 ]
-
-
-_CSV_CHUNK = 1024  # rows formatted at a time, so the text of a whole psi.csv is never held at once
 
 
 def columns_to_csv(path, header: list, columns: list):
@@ -43,13 +43,10 @@ def columns_to_csv(path, header: list, columns: list):
     is written as hex floats, the exact twin of its decimal column.  Rows end
     in ``\\r\\n``, as ``csv.writer`` ends them; no field needs quoting.
     """
-    columns = [np.asarray(c) for c in columns]
     formats = [float.hex if name.endswith("_hex") else str for name in header]
+    rows = zip(*(map(fmt, np.asarray(c).tolist()) for fmt, c in zip(formats, columns)))
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, len(columns[0]), _CSV_CHUNK):
-            fields = [map(fmt, c[start:start + _CSV_CHUNK].tolist()) for fmt, c in zip(formats, columns)]
-            fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+        fh.write("".join(",".join(row) + "\r\n" for row in [header, *rows]))
 
 
 def write_plate_csv(path, state: PlateState):
@@ -91,22 +88,17 @@ def read_plate_csv(path, grid: PlateGrid = None) -> PlateState:
     return PlateState.from_nodal(grid, vals, slopes)
 
 
-def _as_text(values) -> np.ndarray:
-    """The values as columns_to_csv formats them, for a column that repeats them: Python strings."""
-    return np.array(list(map(str, np.asarray(values).tolist())), dtype=object)
+def write_potential_npy(path, pf: PotentialField):
+    """Nodal potential as one C-order float64 ``.npy`` array of shape (n_z1 + n_z2 + 1, n_x + 1).
 
-
-def write_potential_csv(path, pf: PotentialField, H: float):
-    """Nodal potential in physical coordinates, region-tagged: the layer rows, then the gap rows."""
-    n_x, n_1, n_2 = len(pf.x), len(pf.z1), len(pf.eta)
-    psi = np.concatenate([pf.psi1.ravel(), pf.psi2.ravel()])
-    # a value that repeats over rows is formatted once: columns_to_csv writes a string as it is
-    columns_to_csv(path, ["x", "z", "region", "psi", "psi_hex"], [
-        np.tile(_as_text(pf.x), n_1 + n_2),
-        np.concatenate([np.repeat(_as_text(pf.z1), n_x), pf.z2_physical(H).ravel().astype(object)]),
-        np.repeat(_as_text([1, 2]), [n_1 * n_x, n_2 * n_x]),
-        psi, psi,
-    ])
+    Rows 0..n_z1 run through the layer from the electrode up to the interface,
+    rows n_z1..n_z1 + n_z2 through the gap up to the plate; the interface row,
+    which the layer and the gap share, appears once.  Row j <= n_z1 sits at
+    z = z1[j] and row n_z1 + j at z = -H + eta[j] * gamma (``z1`` and ``eta``
+    in psi_meta.json, x and gamma in contact.csv).
+    """
+    with open(path, "wb") as fh:
+        np.save(fh, np.concatenate([pf.psi1, pf.psi2[1:]]), allow_pickle=False)
 
 
 def write_contact_csv(path, pf: PotentialField):

@@ -38,6 +38,7 @@ from .hermite import (
     gauss_rule,
     mechanical_energy,
     shape_functions,
+    unit_energy_diagonal,
 )
 from .params import (
     BoundaryDataFamily,
@@ -177,8 +178,7 @@ def make_context(
     free = np.ones(plate.n_dofs, bool)
     free[clamped_dof_indices(plate)] = False
     # energy-space norms of the single-DOF direction shapes (beta/tau-free)
-    Bu, Su = assemble_bending_and_stretch(plate, 1.0, 1.0)
-    norms = np.sqrt(Bu.diagonal() + Su.diagonal() + M.diagonal())
+    norms = np.sqrt(unit_energy_diagonal(plate))
     solver = FieldSolver(p, family, field_grid, tol_lin=settings.tol_lin)
     return SolveContext(
         p=p, family=family, constants=constants, plate=plate, field_grid=field_grid,

@@ -16,14 +16,15 @@ from memsplate import (
 from memsplate.cli import main
 from memsplate.errors import ConfigError, MalformedState
 from memsplate.io_files import (
-    _CSV_CHUNK,
     parse_config,
+    potential_meta,
     read_plate_csv,
     sha256_of,
     write_contact_csv,
     write_force_csv,
+    write_json,
     write_plate_csv,
-    write_potential_csv,
+    write_potential_npy,
 )
 
 CONFIG_SMALL = """[physics]
@@ -67,20 +68,26 @@ def test_potential_roundtrip_bitwise(tmp_path):
     p = PhysicalParams(V=2.0)
     fam = build_canonical_boundary_data(p)
     grid = PlateGrid(8, p.L)
-    solver = FieldSolver(p, fam, FieldGrid(8, 4, 4))
-    u = PlateState.constant(grid, 0.25)
+    solver = FieldSolver(p, fam, FieldGrid(8, 4, 6))
+    x = grid.nodes
+    u = PlateState.from_nodal(grid, 0.25 - 0.5 * x**2, -x)
     pf = solver.solve(u)
-    write_potential_csv(tmp_path / "psi.csv", pf, p.H)
+    write_potential_npy(tmp_path / "psi.npy", pf)
     write_contact_csv(tmp_path / "contact.csv", pf)
-    with open(tmp_path / "psi.csv", newline="") as fh:
-        psi = [(r["region"], float.fromhex(r["psi_hex"])) for r in csv.DictReader(fh)]
+    write_json(tmp_path / "psi_meta.json", potential_meta(pf))
+    psi = np.load(tmp_path / "psi.npy", allow_pickle=False)
+    assert psi.dtype == np.float64 and psi.flags.c_contiguous
+    assert psi.shape == (4 + 6 + 1, 8 + 1)
+    # the layer rows, then the gap rows above the interface row they share
+    assert np.array_equal(psi[:5], pf.psi1)
+    assert np.array_equal(psi[4:], pf.psi2)
+    # the coordinates live in the other outputs: gap node (j, i) at -H + eta_j gamma_i
+    eta = np.array(json.loads((tmp_path / "psi_meta.json").read_text())["eta"])
     with open(tmp_path / "contact.csv", newline="") as fh:
         cols = list(csv.DictReader(fh))
-    psi1 = np.array([v for region, v in psi if region == "1"]).reshape(pf.psi1.shape)
-    psi2 = np.array([v for region, v in psi if region == "2"]).reshape(pf.psi2.shape)
-    assert np.array_equal(psi1, pf.psi1)
-    assert np.array_equal(psi2, pf.psi2)
-    assert np.array_equal([float.fromhex(r["gamma_hex"]) for r in cols], pf.gap.gamma)
+    gamma = np.array([float.fromhex(r["gamma_hex"]) for r in cols])
+    assert np.array_equal(gamma, pf.gap.gamma)
+    assert np.array_equal(-p.H + eta[:, None] * gamma[None, :], pf.z2_physical(p.H))
     assert np.array_equal([r["is_contact"] == "1" for r in cols], pf.contact_mask)
 
 
@@ -98,28 +105,18 @@ def test_csv_writers_match_per_row_reference(tmp_path):
     grid = PlateGrid(8, p.L)
     x = grid.nodes
     u = PlateState.from_nodal(grid, np.maximum(-1.0, -1.5 + 2.0 * np.abs(x)), np.sin(3.0 * x))
-    # 65 x 34 potential rows: more than two of the writer's chunks
     family = build_canonical_boundary_data(p)
     pf = FieldSolver(p, family, FieldGrid(64, 16, 16)).solve(u)
-    gm, z2 = pf.gap, pf.z2_physical(p.H)
+    gm = pf.gap
     g = compute_force(u, pf, family, p)
     assert gm.contact.any() and not gm.contact.all()
     assert g.contact.any() and not g.contact.all()
-    assert pf.psi1.size + pf.psi2.size > 2 * _CSV_CHUNK
     write_plate_csv(tmp_path / "u.csv", u)
-    write_potential_csv(tmp_path / "psi.csv", pf, p.H)
     write_contact_csv(tmp_path / "contact.csv", pf)
     write_force_csv(tmp_path / "g.csv", g)
     _per_row_csv(tmp_path / "u_ref.csv", ["x", "u", "du_dx", "u_hex", "du_dx_hex"], [
         [repr(float(a)), repr(float(v)), repr(float(s)), float(v).hex(), float(s).hex()]
         for a, v, s in zip(x, u.values, u.slopes)
-    ])
-    _per_row_csv(tmp_path / "psi_ref.csv", ["x", "z", "region", "psi", "psi_hex"], [
-        [repr(float(a)), repr(float(z)), 1, repr(float(pf.psi1[j, i])), float(pf.psi1[j, i]).hex()]
-        for j, z in enumerate(pf.z1) for i, a in enumerate(pf.x)
-    ] + [
-        [repr(float(a)), repr(float(z2[j, i])), 2, repr(float(pf.psi2[j, i])), float(pf.psi2[j, i]).hex()]
-        for j in range(len(pf.eta)) for i, a in enumerate(pf.x)
     ])
     _per_row_csv(tmp_path / "contact_ref.csv", ["x", "is_contact", "gamma", "dgamma", "gamma_hex", "dgamma_hex"], [
         [repr(float(a)), int(c), repr(float(g)), repr(float(dg)), float(g).hex(), float(dg).hex()]
@@ -130,7 +127,7 @@ def test_csv_writers_match_per_row_reference(tmp_path):
          float(v).hex(), float(f).hex()]
         for a, v, c, f in zip(g.x, g.values, g.contact, g.frak_g)
     ])
-    for name in ("u", "psi", "contact", "g"):
+    for name in ("u", "contact", "g"):
         assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_ref.csv").read_bytes(), name
 
 
@@ -542,7 +539,7 @@ def test_cli_solve_failed_descent_writes_every_output(tmp_path):
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["outputs"]) == {
-        "u.csv", "psi.csv", "g.csv", "contact.csv", "psi_meta.json",
+        "u.csv", "psi.npy", "g.csv", "contact.csv", "psi_meta.json",
         "energy.json", "certificate.json", "trajectory.jsonl",
     }
     for name, entry in manifest["outputs"].items():

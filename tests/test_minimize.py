@@ -6,6 +6,8 @@ from memsplate import (
     PhysicalParams,
     PlateState,
     SolverSettings,
+    assemble_bending_and_stretch,
+    assemble_mass,
     coercivity_check,
     coercivity_constant,
     continuation_pipeline,
@@ -297,3 +299,14 @@ def test_a_missed_cg_is_not_tried_again_within_a_line_search(monkeypatch):
     for r in searches:
         assert r["cg_iterations"] == memsplate.fields._PCG_MAXIT
         assert r["factorizations"] == r["ls_trials"]
+
+
+@pytest.mark.parametrize("L", [1.0, 1.628, 0.37])
+def test_norms_are_the_assembled_unit_diagonals(L):
+    # make_context sums the element diagonals onto the DOFs instead of assembling
+    # the unit matrices; each entry sums at most two element entries, so the bits agree
+    p = PhysicalParams(L=L, V=2.0)
+    for n in (1, 2, 8, 32, 128, 256):
+        ctx = make_context(p, n_elems=n, field_grid=FieldGrid(4, 4, 4))
+        Bu, Su = assemble_bending_and_stretch(ctx.plate, 1.0, 1.0)
+        assert np.array_equal(ctx._norms, np.sqrt(Bu.diagonal() + Su.diagonal() + assemble_mass(ctx.plate).diagonal()))

@@ -179,6 +179,21 @@ def test_unbounded_growth_detected(unit_params, canonical):
         compute_m_constants(f, unit_params, w_max=4.0)
 
 
+@pytest.mark.xfail(
+    strict=True, raises=UnboundedGrowth,
+    reason="known defect, ROADMAP item 7: the sampled m1 steps over the gap ratio's narrow "
+    "peak on a long working range and reports a bounded ratio as unbounded growth",
+)
+def test_certified_m1_covers_a_narrow_gap_peak():
+    # the gap ratio V^2 s1^2 (w+H) / (s2 d + s1 (w+H))^2 peaks at w + H = s2 d / s1
+    # with sup V^2 s1 / (4 s2 d) = 138.54; w_max is about 2747, so the 601-point grid
+    # over [-H, w_max] steps 4.6 against a peak at 0.144
+    p = PhysicalParams(beta=0.785, tau=2.636, L=1.628, H=1.704, d=0.408,
+                       sigma1=4.349, sigma2=1.538, V=8.942)
+    c = derive_constants(p, build_canonical_boundary_data(p))
+    assert c.m1 >= p.V**2 * p.sigma1 / (4.0 * p.sigma2 * p.d)
+
+
 def test_derive_constants_deterministic(unit_params, canonical):
     c1 = derive_constants(unit_params, canonical)
     c2 = derive_constants(unit_params, canonical)
