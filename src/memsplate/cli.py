@@ -44,7 +44,7 @@ from .io_files import (
     write_trajectory,
 )
 from .minimize import EnergyReport, SolveContext, continuation_pipeline, make_context
-from .params import DerivedConstants, build_canonical_boundary_data, derive_constants
+from .params import DerivedConstants, derive_constants
 from .verify import check_coincidence_interval, run_suite
 
 log = logging.getLogger("memsplate")
@@ -60,10 +60,10 @@ def _setup_logging():
 
 
 def _constants_of(bundle: ConfigBundle) -> DerivedConstants:
-    """The certified constants of a config; constants that cannot be certified are a config error."""
+    """The derived constants of a config; a constant that overflows is a config error."""
     p = bundle.params
     try:
-        return derive_constants(p, build_canonical_boundary_data(p))
+        return derive_constants(p)
     except UnboundedGrowth as exc:
         raise ConfigError(f"V={p.V:g}: {exc}") from exc
 

@@ -14,7 +14,7 @@ class NonConstantPermittivity(MemsPlateError):
 
 
 class UnboundedGrowth(MemsPlateError):
-    """Grid maximization of a growth constant keeps increasing under refinement."""
+    """A derived constant overflows."""
 
 
 class SingularAssembly(MemsPlateError):

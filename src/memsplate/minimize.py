@@ -169,7 +169,7 @@ def make_context(
 ) -> SolveContext:
     """Assemble everything reusable for a device: matrices, field solver, constants."""
     family = build_canonical_boundary_data(p)
-    constants = constants if constants is not None else derive_constants(p, family)
+    constants = constants if constants is not None else derive_constants(p)
     settings = settings if settings is not None else SolverSettings()
     plate = PlateGrid(n_elems, p.L)
     field_grid = field_grid if field_grid is not None else FieldGrid(n_x=max(n_elems, 4))

@@ -9,9 +9,9 @@ The boundary-data family is the one-dimensional transmission profile
 which satisfies the interface matching and flux-matching identities exactly,
 grounds the bottom electrode, and holds the plate at potential V.  The plate
 trace is that constant, so the trace constant K is the floor EPS_M.  The
-growth constants used by the energy regularization are certified by grid
-maximization over the working deflection range and inflated by a small
-safety factor.
+growth constants used by the energy regularization are the exact suprema of
+their ratios over the working deflection range, in closed form, rounded up
+by 2^-48 relative.
 """
 
 from __future__ import annotations
@@ -37,16 +37,6 @@ __all__ = [
 ]
 
 EPS_M = 1e-12  # floor for certified constants that are structurally zero
-
-SAFETY = 1.05  # inflation factor on grid-maximized constants
-
-# sampling of the certified maxima: w grid (its even points are the coarse grid),
-# local refinement, and the x / z samples of the growth ratios
-_N_W = 601
-_N_REFINE = 101
-_REFINE_PASSES = 2
-_N_X_M = 33
-_N_ZT = 41
 
 Sigma1 = Union[float, Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
@@ -123,7 +113,7 @@ def sigma_bar(p: PhysicalParams) -> float:
 
 @dataclass(frozen=True)
 class BoundaryDataFamily:
-    """Dirichlet data h1 (layer) / h2 (gap) with closed-form first partials.
+    """Dirichlet data h1 (layer) / h2 (gap) and the closed-form first partials of h2.
 
     All callables take (x, z, w); w is the plate deflection at the column
     being evaluated.  A result broadcasts against the inputs but need not have
@@ -133,19 +123,20 @@ class BoundaryDataFamily:
 
     h1: Callable
     h2: Callable
-    dx_h1: Callable
-    dz_h1: Callable
-    dw_h1: Callable
     dx_h2: Callable
     dz_h2: Callable
     dw_h2: Callable
 
 
-def build_canonical_boundary_data(p: PhysicalParams) -> BoundaryDataFamily:
-    """Transmission-profile family with the plate held at V; requires a spatially uniform layer."""
+def _constant_sigma1(p: PhysicalParams) -> float:
     if not p.sigma1_is_constant:
         raise NonConstantPermittivity("transmission-profile family needs constant sigma1")
-    s1 = float(p.sigma1)  # type: ignore[arg-type]
+    return float(p.sigma1)  # type: ignore[arg-type]
+
+
+def build_canonical_boundary_data(p: PhysicalParams) -> BoundaryDataFamily:
+    """Transmission-profile family with the plate held at V; requires a spatially uniform layer."""
+    s1 = _constant_sigma1(p)
     s2, d, H, V = p.sigma2, p.d, p.H, p.V
 
     def denom(w):
@@ -156,15 +147,6 @@ def build_canonical_boundary_data(p: PhysicalParams) -> BoundaryDataFamily:
 
     def h2(x, z, w):
         return V * (s1 * (z + H) + s2 * d) / denom(w)
-
-    def dx_h1(x, z, w):
-        return 0.0 * s2 * (z + H + d) / denom(w)
-
-    def dz_h1(x, z, w):
-        return V * s2 / denom(w) + 0.0 * z
-
-    def dw_h1(x, z, w):
-        return -V * s2 * s1 * (z + H + d) / denom(w) ** 2
 
     def dx_h2(x, z, w):
         return 0.0 * (s1 * (z + H) + s2 * d) / denom(w)
@@ -177,88 +159,35 @@ def build_canonical_boundary_data(p: PhysicalParams) -> BoundaryDataFamily:
 
     return BoundaryDataFamily(
         h1=h1, h2=h2,
-        dx_h1=dx_h1, dz_h1=dz_h1, dw_h1=dw_h1,
         dx_h2=dx_h2, dz_h2=dz_h2, dw_h2=dw_h2,
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _certified_max(eval_on_w, w_lo: float, w_hi: float, label: str) -> float:
-    """Max over w in [w_lo, w_hi] of eval_on_w(w_array), certified against growth.
+def compute_m_constants(p: PhysicalParams, w_max: float) -> tuple[float, float, float]:
+    """Growth constants (m1, m2, m3): the exact suprema on deflections in [-H, w_max].
 
-    One _N_W-point grid is evaluated; its even points form the coarse grid.  A
-    fine maximum that is not finite (an overflow or a NaN sample) raises
-    UnboundedGrowth, and so does one that exceeds 1.25x the coarse one.  Then
-    _REFINE_PASSES grids of _N_REFINE points refine around the running argmax,
-    two steps of the previous grid to each side.
-    """
-    w = np.linspace(w_lo, w_hi, _N_W)
-    vals = eval_on_w(w)
-    coarse = max(-np.inf, float(np.max(vals[::2])))  # a NaN sample counts as -inf
-    i = int(np.argmax(vals))
-    best = max(-np.inf, float(vals[i]))
-    if not np.isfinite(best):
-        raise UnboundedGrowth(f"{label} samples are not finite: they overflow (or are NaN)")
-    if best > 1.25 * max(coarse, EPS_M):
-        raise UnboundedGrowth(
-            f"{label} keeps growing under grid refinement ({coarse:.3e} -> {best:.3e})"
-        )
-    dw = (w_hi - w_lo) / (_N_W - 1)
-    for _ in range(_REFINE_PASSES):
-        lo = max(w_lo, w[i] - 2.0 * dw)
-        hi = min(w_hi, w[i] + 2.0 * dw)
-        if hi <= lo:
-            break
-        w = np.linspace(lo, hi, _N_REFINE)
-        vals = eval_on_w(w)
-        i = int(np.argmax(vals))
-        best = max(best, float(vals[i]))
-        dw = (hi - lo) / (_N_REFINE - 1)
-    return best
-
-
-def compute_m_constants(f: BoundaryDataFamily, p: PhysicalParams, w_max: float) -> tuple[float, float, float]:
-    """Growth constants (m1, m2, m3) certified on deflections in [-H, w_max].
-
-    m2 is pinned to the floor and m1 absorbs the whole (x, z, w) dependence on
-    the certified range; the gap-side ratios weight the squared gradient by
-    the local gap height.  Gap evaluations use z between the interface and the
-    plate, the only region where the gap data is ever sampled.
+    With g = w + H and D = s2 d + s1 g, the layer ratios |dz_h1|^2 = (V s2 / D)^2
+    and |dw_h1|^2 = (V s1 s2 (z + H + d) / D^2)^2 peak at w = -H, z = -H, where they
+    are (V / d)^2 and (V s1 / (s2 d))^2.  The gap ratios |dz_h2|^2 g and |dw_h2|^2 g
+    (the latter largest at z = w) are both V^2 s1^2 g / D^2, which peaks at
+    g* = min(s2 d / s1, w_max + H).  No datum depends on x, so m2 is the floor.
+    Each supremum is rounded up by 2^-48 relative, as the kappa0 bound rounds
+    Q(y*): well above the rounding error of its few operations.  It is floored at
+    EPS_M.  Squares are products, so an overflow reads inf, not OverflowError,
+    and is left to the finiteness check of derive_constants.
     """
     if w_max < p.H:
         raise ValueError("w_max must cover at least the gap height")
-    x = np.linspace(-p.L, p.L, _N_X_M)[:, None, None]
-    z1 = np.linspace(-p.H - p.d, -p.H, _N_ZT)[None, :, None]
-    t = np.linspace(0.0, 1.0, _N_ZT)[None, :, None]
-
-    def layer_ratio(w):
-        w = w[None, None, :]
-        return np.max((np.abs(f.dx_h1(x, z1, w)) + np.abs(f.dz_h1(x, z1, w))) ** 2, axis=(0, 1))
-
-    def gap_ratio(w):
-        w = w[None, None, :]
-        z = -p.H + t * (w + p.H)
-        r = (np.abs(f.dx_h2(x, z, w)) + np.abs(f.dz_h2(x, z, w))) ** 2 * (p.H + w)
-        return np.max(r, axis=(0, 1))
-
-    def layer_w_ratio(w):
-        w = w[None, None, :]
-        return np.max(f.dw_h1(x, z1, w) ** 2, axis=(0, 1))
-
-    def gap_w_ratio(w):
-        w = w[None, None, :]
-        z = -p.H + t * (w + p.H)
-        return np.max(f.dw_h2(x, z, w) ** 2 * (p.H + w), axis=(0, 1))
-
-    m1_layer, m1_gap, m3_layer, m3_gap = (
-        _certified_max(fn, -p.H, w_max, label)
-        for fn, label in [(layer_ratio, "m1 (layer)"), (gap_ratio, "m1 (gap)"),
-                          (layer_w_ratio, "m3 (layer)"), (gap_w_ratio, "m3 (gap)")]
-    )
-    m2 = EPS_M
-    m1 = max(EPS_M, SAFETY * max(m1_layer, m1_gap))
-    m3 = max(EPS_M, SAFETY * max(m3_layer, m3_gap))
-    return m1, m2, m3
+    s1 = _constant_sigma1(p)
+    s2, d, V = p.sigma2, p.d, p.V
+    g = min(s2 * d / s1, w_max + p.H)
+    dz_gap = V * s1 / (s2 * d + s1 * g)
+    gap = dz_gap * dz_gap * g
+    dz_layer, dw_layer = V / d, V * s1 / (s2 * d)
+    up = 1.0 + 2.0**-48
+    m1 = max(EPS_M, max(dz_layer * dz_layer, gap) * up)
+    m3 = max(EPS_M, max(dw_layer * dw_layer, gap) * up)
+    return m1, EPS_M, m3
 
 
 def compute_A(m2: float, m3: float, sbar: float, d: float, beta: float) -> float:
@@ -273,7 +202,7 @@ def compute_A(m2: float, m3: float, sbar: float, d: float, beta: float) -> float
 
 @dataclass(frozen=True)
 class DerivedConstants:
-    """Constants derived from (params, family) on the working range [-H, w_max]."""
+    """Constants derived from the params on the working range [-H, w_max]; m1-m3 are closed forms."""
 
     sigma_bar: float
     m1: float
@@ -294,19 +223,20 @@ class DerivedConstants:
         }
 
 
-def derive_constants(p: PhysicalParams, f: BoundaryDataFamily) -> DerivedConstants:
+def derive_constants(p: PhysicalParams) -> DerivedConstants:
     """All derived constants, on the working range [-H, 2 max(kappa0, H)].
 
     The plate trace h2(x, w, w) = V is constant, so its gradient
     dx_h2 + dz_h2 + dw_h2 is exactly zero and the trace constant K is the
-    floor EPS_M, with the force floor magnitude G0 = sigma2 K^2.
+    floor EPS_M, with the force floor magnitude G0 = sigma2 K^2.  A constant
+    that overflows raises UnboundedGrowth.
     """
     sbar = sigma_bar(p)
     K = EPS_M
     G0 = p.sigma2 * K**2
     kappa0 = kappa0_bound(p.beta, p.tau, p.L, p.H, G0)
     w0 = 2.0 * max(kappa0, p.H)
-    m1, m2, m3 = compute_m_constants(f, p, w0)
+    m1, m2, m3 = compute_m_constants(p, w0)
     A = compute_A(m2, m3, sbar, p.d, p.beta)
     out = DerivedConstants(
         sigma_bar=sbar, m1=m1, m2=m2, m3=m3, K=K, G0=G0, A=A, kappa0=kappa0, w_max=w0

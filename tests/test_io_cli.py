@@ -290,6 +290,35 @@ def test_cli_verify_malformed_state_exits_2(tmp_path, edit, message, caplog):
     assert f"cannot read state {state}" in caplog.text and message in caplog.text
 
 
+NARROW_GAP_PEAK_CONFIG = """[physics]
+beta = 0.785
+tau = 2.636
+L = 1.628
+H = 1.704
+d = 0.408
+sigma1 = 4.349
+sigma2 = 1.538
+V = 1.0
+
+[grid]
+n_elems = 32
+n_x = 32
+n_z1 = 16
+n_z2 = 16
+"""
+
+
+def test_cli_solve_certifies_a_device_with_a_narrow_gap_peak(tmp_path):
+    # its m1 gap ratio peaks at w + H = 0.144 on a working range about 2750 long;
+    # a constant sampled on a grid over that range reads as unbounded growth
+    cfg = tmp_path / "narrow.ini"
+    cfg.write_text(NARROW_GAP_PEAK_CONFIG)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert["certified"] and cert["status"] == "converged"
+
+
 def test_cli_solve_exits_4_beyond_the_certified_range(tmp_path, monkeypatch):
     # a state above w_max: the certificate keeps the context's constants and solve fails
     import memsplate.minimize
@@ -516,7 +545,7 @@ def test_cli_sweep_exits_4_on_an_uncertified_point(tmp_path, monkeypatch, caplog
     import memsplate.cli
 
     derive = memsplate.cli.derive_constants
-    monkeypatch.setattr(memsplate.cli, "derive_constants", lambda p, f: dc_replace(derive(p, f), kappa0=1e-9))
+    monkeypatch.setattr(memsplate.cli, "derive_constants", lambda p: dc_replace(derive(p), kappa0=1e-9))
     sout = tmp_path / "s"
     rc = main(["sweep", "--config", write_config(tmp_path), "--vmin", "0", "--vmax", "2", "--steps", "2",
                "--out", str(sout)])

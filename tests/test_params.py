@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,9 @@ from memsplate import (
     sigma_bar,
 )
 from memsplate.errors import NonConstantPermittivity, UnboundedGrowth
-import memsplate.params
-from memsplate.params import EPS_M, SAFETY, _certified_max
+from memsplate.params import EPS_M
+
+ROUND_UP = 1.0 + 2.0**-48  # the relative round-up of every closed-form growth constant
 
 
 def test_param_validation():
@@ -35,14 +38,17 @@ def test_param_validation():
 
 def test_canonical_structural_identities(unit_params, canonical):
     # interface matching and flux matching at z = -H, the grounded electrode at
-    # z = -H - d and the plate held at V, on deflections in [-H, 2H]
+    # z = -H - d and the plate held at V, on deflections in [-H, 2H]; h1 and h2
+    # are linear in z, so their slopes are difference quotients
     p, f = unit_params, canonical
     x = np.linspace(-p.L, p.L, 41)[:, None]
     w = np.linspace(-p.H, 2.0 * p.H, 41)[None, :]
     zi = -p.H
+    slope1 = (f.h1(x, zi, w) - f.h1(x, zi - p.d, w)) / p.d
+    slope2 = f.h2(x, zi + 1.0, w) - f.h2(x, zi, w)
     residuals = {
         "matching": f.h1(x, zi, w) - f.h2(x, zi, w),
-        "flux": p.sigma1 * f.dz_h1(x, zi, w) - p.sigma2 * f.dz_h2(x, zi, w),
+        "flux": p.sigma1 * slope1 - p.sigma2 * slope2,
         "grounding": f.h1(x, -p.H - p.d, w),
         "plate_value": f.h2(x, w, w) - p.V,
     }
@@ -70,42 +76,40 @@ def test_canonical_requires_constant_sigma1():
     p = PhysicalParams(sigma1=lambda x, z: 1.0 + 0.1 * np.cos(x) + 0.0 * z)
     with pytest.raises(NonConstantPermittivity):
         build_canonical_boundary_data(p)
+    with pytest.raises(NonConstantPermittivity):
+        derive_constants(p)
 
 
 def test_m_constants_zero_voltage():
-    p = PhysicalParams(V=0.0)
-    f = build_canonical_boundary_data(p)
-    m1, m2, m3 = compute_m_constants(f, p, w_max=4.0)
+    m1, m2, m3 = compute_m_constants(PhysicalParams(V=0.0), w_max=4.0)
     assert m1 == EPS_M and m2 == EPS_M and m3 == EPS_M
 
 
-def test_m_constants_gap_branch_matches_analytic_max(unit_params, canonical):
-    # max over w of |dz_h2|^2 (H + w) is sigma1 V^2 / (4 sigma2 d), at w + H = sigma2 d / sigma1
-    p, f = unit_params, canonical
-    x = np.linspace(-p.L, p.L, 9)[:, None]
+def test_m_constants_gap_branch_matches_analytic_max():
+    # with d = 10 both gap ratios V^2 s1^2 g / (s2 d + s1 g)^2 outgrow the layer
+    # ratios (V/d)^2 = (V s1 / (s2 d))^2 = V^2 / 100; they peak at g = w + H = s2 d / s1
+    # = 10 with sup s1 V^2 / (4 s2 d) = V^2 / 40, or at the end of a shorter range
+    p = PhysicalParams(V=2.0, d=10.0)
+    m1, m2, m3 = compute_m_constants(p, w_max=50.0)
+    assert m1 == m3 == pytest.approx(p.sigma1 * p.V**2 / (4.0 * p.sigma2 * p.d) * ROUND_UP, rel=1e-15)
+    # g <= w_max + H = 5: 4 * 5 / (10 + 5)^2 = 4 / 45
+    m1, m2, m3 = compute_m_constants(p, w_max=4.0)
+    assert m1 == m3 == pytest.approx(p.V**2 / 45.0 * ROUND_UP, rel=1e-15)
+    assert m2 == EPS_M
 
-    def branch(w):
-        w2 = w[None, :]
-        return np.max(np.abs(f.dz_h2(x, w2, w2)) ** 2 * (p.H + w2), axis=0)
 
-    grid_max = _certified_max(branch, -p.H, 4.0, "m1 (gap)")
-    analytic = p.sigma1 * p.V**2 / (4.0 * p.sigma2 * p.d)
-    assert grid_max == pytest.approx(analytic, rel=1e-2)
-
-
-def test_m_constants_canonical_values(unit_params, canonical):
+def test_m_constants_canonical_values(unit_params):
+    # the layer ratios dominate: (V/d)^2 = (V s1 / (s2 d))^2 = V^2, against the gap's V^2 / 4
     p = unit_params
-    m1, m2, m3 = compute_m_constants(canonical, p, w_max=4.0)
-    assert m2 == EPS_M  # all partials bounded in w
-    # layer branch dominates m1: (V/d)^2; m3 max{V^2, V^2/4} = V^2
-    assert m1 == pytest.approx(SAFETY * (p.V / p.d) ** 2, rel=1e-2)
-    assert m3 == pytest.approx(SAFETY * p.V**2, rel=1e-2)
+    m1, m2, m3 = compute_m_constants(p, w_max=4.0)
+    assert m2 == EPS_M  # no datum depends on x
+    assert m1 == m3 == p.V**2 * ROUND_UP
 
 
 def test_K_canonical_at_floor():
     p = PhysicalParams(V=2.0)
     canonical = build_canonical_boundary_data(p)
-    c = derive_constants(p, canonical)
+    c = derive_constants(p)
     assert c.K == EPS_M
     assert c.G0 == p.sigma2 * EPS_M**2
     # trace identities behind it, checked directly
@@ -120,29 +124,27 @@ def test_K_canonical_is_the_floor_at_any_voltage():
     # sample of dz_h2 + dw_h2 would read rounding noise that grows with V
     for V in (1e4, 1e20):
         p = PhysicalParams(V=V)
-        c = derive_constants(p, build_canonical_boundary_data(p))
+        c = derive_constants(p)
         assert c.K == EPS_M and c.G0 == p.sigma2 * EPS_M**2
         assert c.w_max == 50.0 and np.isfinite(c.A)
 
 
 def test_overflowing_constants_raise_unbounded_growth():
-    # no bare OverflowError or overflow RuntimeWarning: an uncertifiable device
+    # no bare OverflowError or overflow RuntimeWarning: at V = 1e100 A overflows,
+    # at V = 1e200 m1 and m3 already do
     import warnings
 
     for V in (1e100, 1e200):
         p = PhysicalParams(V=V)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(UnboundedGrowth) as exc:
-                derive_constants(p, build_canonical_boundary_data(p))
-        if V == 1e200:
-            # m1 overflows on the first grid: nothing was refined, so no growth is claimed
-            assert str(exc.value) == "m1 (layer) samples are not finite: they overflow (or are NaN)"
+            with pytest.raises(UnboundedGrowth):
+                derive_constants(p)
 
 
 def test_K_zero_voltage_floor():
     p = PhysicalParams(V=0.0)
-    c = derive_constants(p, build_canonical_boundary_data(p))
+    c = derive_constants(p)
     assert c.K == EPS_M and c.G0 == p.sigma2 * EPS_M**2
 
 
@@ -167,41 +169,24 @@ def test_compute_A_monotonicity(m2, m3, sbar, d, beta, bump):
     assert compute_A(m2, m3, sbar, d, beta + bump) <= base
 
 
-def test_unbounded_growth_detected(unit_params, canonical):
-    from dataclasses import replace
-
-    # |dw_h2|^2 (H + w) ~ 1/(H + w): diverges at the bottom of the range
-    f = replace(
-        canonical,
-        dw_h2=lambda x, z, w: 1.0 / (np.broadcast_arrays(x, z, w)[2] + 1.0 + 1e-12),
-    )
-    with pytest.raises(UnboundedGrowth):
-        compute_m_constants(f, unit_params, w_max=4.0)
-
-
-@pytest.mark.xfail(
-    strict=True, raises=UnboundedGrowth,
-    reason="known defect, ROADMAP item 7: the sampled m1 steps over the gap ratio's narrow "
-    "peak on a long working range and reports a bounded ratio as unbounded growth",
-)
 def test_certified_m1_covers_a_narrow_gap_peak():
     # the gap ratio V^2 s1^2 (w+H) / (s2 d + s1 (w+H))^2 peaks at w + H = s2 d / s1
-    # with sup V^2 s1 / (4 s2 d) = 138.54; w_max is about 2747, so the 601-point grid
-    # over [-H, w_max] steps 4.6 against a peak at 0.144
+    # with sup V^2 s1 / (4 s2 d) = 138.54, a narrow peak at 0.144 on a working
+    # range about 2750 long, which a 601-point grid over it steps over
     p = PhysicalParams(beta=0.785, tau=2.636, L=1.628, H=1.704, d=0.408,
                        sigma1=4.349, sigma2=1.538, V=8.942)
-    c = derive_constants(p, build_canonical_boundary_data(p))
+    c = derive_constants(p)
     assert c.m1 >= p.V**2 * p.sigma1 / (4.0 * p.sigma2 * p.d)
 
 
-def test_derive_constants_deterministic(unit_params, canonical):
-    c1 = derive_constants(unit_params, canonical)
-    c2 = derive_constants(unit_params, canonical)
+def test_derive_constants_deterministic(unit_params):
+    c1 = derive_constants(unit_params)
+    c2 = derive_constants(unit_params)
     assert c1.as_dict() == c2.as_dict()
 
 
-def test_derive_constants_ranges(unit_params, canonical):
-    c = derive_constants(unit_params, canonical)
+def test_derive_constants_ranges(unit_params):
+    c = derive_constants(unit_params)
     p = unit_params
     assert c.sigma_bar == sigma_bar(p) == 1.0
     assert c.kappa0 >= p.H
@@ -215,118 +200,14 @@ def test_sigma_bar_with_varying_layer():
     assert sigma_bar(p) == pytest.approx(2.0 + 0.5 * np.sin(1.0), abs=1e-3)
 
 
-# The two-pass certification that _certified_max replaced, kept as its reference:
-# a 301- and a 601-point growth check, then a 601-point grid refined twice.
-def _reference_refined_max(eval_on_w, w_lo, w_hi, n_w=601, passes=3):
-    lo, hi = w_lo, w_hi
-    best = -np.inf
-    for _ in range(passes):
-        w = np.linspace(lo, hi, n_w)
-        vals = eval_on_w(w)
-        i = int(np.argmax(vals))
-        best = max(best, float(vals[i]))
-        dw = (hi - lo) / (n_w - 1)
-        lo = max(w_lo, w[i] - 2.0 * dw)
-        hi = min(w_hi, w[i] + 2.0 * dw)
-        n_w = 101
-        if hi <= lo:
-            break
-    return best
-
-
-def _reference_certified_max(eval_on_w, w_lo, w_hi, label):
-    coarse = _reference_refined_max(eval_on_w, w_lo, w_hi, n_w=301, passes=1)
-    fine = _reference_refined_max(eval_on_w, w_lo, w_hi, n_w=601, passes=1)
-    if not np.isfinite(fine):
-        raise UnboundedGrowth(f"{label} samples are not finite: they overflow (or are NaN)")
-    if fine > 1.25 * max(coarse, EPS_M):
-        raise UnboundedGrowth(
-            f"{label} keeps growing under grid refinement ({coarse:.3e} -> {fine:.3e})"
-        )
-    return _reference_refined_max(eval_on_w, w_lo, w_hi)
-
-
-def _outcome(certify, eval_on_w, w_lo, w_hi, label):
-    try:
-        return certify(eval_on_w, w_lo, w_hi, label)
-    except UnboundedGrowth as exc:
-        return ("UnboundedGrowth", str(exc))
-
-
-def _assert_matches_reference(eval_on_w, w_lo, w_hi, label):
-    n_points = []
-
-    def counted(w):
-        n_points.append(len(w))
-        return eval_on_w(w)
-
-    got = _outcome(_certified_max, counted, w_lo, w_hi, label)
-    assert got == _outcome(_reference_certified_max, eval_on_w, w_lo, w_hi, label), label
-    assert sum(n_points) <= 601 + 2 * 101
-    return got
-
-
 def _device_case(case):
-    """(params, family) for a case id: "V<volts>" or "tau0.5" (V=3)."""
-    p = PhysicalParams(V=3.0, tau=0.5) if case == "tau0.5" else PhysicalParams(V=float(case[1:]))
-    return p, build_canonical_boundary_data(p)
-
-
-@pytest.mark.parametrize("case", ["V0", "V1", "V3", "V11", "tau0.5"])
-def test_certified_max_matches_two_pass_reference(case, monkeypatch):
-    p, f = _device_case(case)
-    calls = []
-
-    def recording(eval_on_w, w_lo, w_hi, label):
-        calls.append((eval_on_w, w_lo, w_hi, label))
-        return _certified_max(eval_on_w, w_lo, w_hi, label)
-
-    monkeypatch.setattr(memsplate.params, "_certified_max", recording)
-    derive_constants(p, f)
-    # K is the floor, not sampled: only the four growth ratios are
-    assert [c[3] for c in calls] == ["m1 (layer)", "m1 (gap)", "m3 (layer)", "m3 (gap)"]
-    for eval_on_w, w_lo, w_hi, label in calls:
-        _assert_matches_reference(eval_on_w, w_lo, w_hi, label)
-
-
-def test_certified_max_raises_where_the_reference_raises():
-    def with_nan(w):
-        v = np.sin(3.0 * w)
-        v[len(w) // 3] = np.nan
-        return v
-
-    # a hat on one odd point of the fine [-1, 4] grid, missed by its even (coarse) points
-    w_odd, step = np.linspace(-1.0, 4.0, 601)[301], 5.0 / 600
-
-    def hat(height):
-        return lambda w: 1.0 + height * np.maximum(0.0, 1.0 - np.abs(w - w_odd) / step)
-
-    cases = {
-        "interior peak": lambda w: -((w - 1.3) ** 2),
-        "hat 1.2x between coarse points": hat(0.2),
-        "hat 1.35x between coarse points": hat(0.35),
-        "oscillating": lambda w: np.sin(7.0 * w) * np.exp(-0.1 * w),
-        "peak at the left end": lambda w: np.exp(-w),
-        "structural zero": lambda w: np.zeros_like(w),
-        "pole next to the left end": lambda w: (w + 1.0) / (w + 1.0 + 1e-12) ** 2,
-        "narrow spike": lambda w: 1.0 / (1e-6 + (w - 0.123456789) ** 2),
-        "a NaN sample": with_nan,
-        "overflow": lambda w: np.where(w > 3.9, np.inf, 0.0),
-    }
-    raised = set()
-    for label, fn in cases.items():
-        for w_lo, w_hi in [(-1.0, 4.0), (-1.0, 175.35)]:
-            got = _assert_matches_reference(fn, w_lo, w_hi, label)
-            if isinstance(got, tuple):
-                raised.add(label)
-    assert raised == {
-        "hat 1.35x between coarse points", "pole next to the left end", "narrow spike",
-        "a NaN sample", "overflow",
-    }
+    """The params of a case id: "V<volts>" or "tau0.5" (V=3)."""
+    return PhysicalParams(V=3.0, tau=0.5) if case == "tau0.5" else PhysicalParams(V=float(case[1:]))
 
 
 def _materialized_family(p, v, dv, x, z, w):
-    """The transmission profile evaluated on inputs broadcast to their full shape first."""
+    """The transmission profile and the partials of h1 and h2, written out and
+    evaluated on inputs broadcast to their full shape first."""
     s1, s2, d, H = float(p.sigma1), p.sigma2, p.d, p.H
 
     def denom(w):
@@ -362,24 +243,86 @@ def test_builtin_family_carries_no_x_axis(p):
     f = build_canonical_boundary_data(p)
     x, z, w = _shape_samples(p)
     reference = _materialized_family(p, lambda x: p.V, lambda x: 0.0, x, z, w)
-    for name, ref in reference.items():
+    for name in (field.name for field in fields(f)):
+        ref = reference[name]
         got = getattr(f, name)(x, z, w)
         assert np.shape(got) == (1, z.shape[1], w.shape[2]), name
         assert np.array_equal(np.broadcast_to(got, ref.shape), ref), name
 
 
-# derive_constants(...).as_dict() recorded when the family still broadcast its inputs
-# to the full (x, z, w) block, as float.hex strings
+def _random_device(rng):
+    def log_uniform(lo, hi):
+        return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+    return PhysicalParams(
+        beta=log_uniform(0.1, 10.0), tau=float(rng.uniform(0.0, 5.0)), L=log_uniform(0.3, 3.0),
+        H=log_uniform(0.1, 3.0), d=log_uniform(0.05, 20.0), sigma1=log_uniform(0.1, 10.0),
+        sigma2=log_uniform(0.1, 10.0), V=float(rng.uniform(0.0, 20.0)),
+    )
+
+
+def _sampled_growth_ratios(p, w_max):
+    """Max of the m1 and m3 ratios over dense (z, w) samples of the written-out family.
+
+    The w samples cover [-H, w_max] evenly and geometrically towards -H, and hold
+    the gap ratios' peak g* - H; the z samples cover the layer and, per column, the
+    gap from the interface to the plate.
+    """
+    H = p.H
+    g_star = min(p.sigma2 * p.d / float(p.sigma1), w_max + H)
+    w = np.unique(np.concatenate([
+        np.linspace(-H, w_max, 2001),
+        -H + (w_max + H) * np.geomspace(1e-9, 1.0, 2001),
+        [g_star - H],
+    ]))[None, None, :]
+    x = np.zeros((1, 1, 1))  # the data do not depend on x
+    t = np.linspace(0.0, 1.0, 41)[None, :, None]
+    v, dv = (lambda x: p.V), (lambda x: 0.0)
+    layer = _materialized_family(p, v, dv, x, -H - p.d + p.d * t, w)
+    gap = _materialized_family(p, v, dv, x, -H + t * (w + H), w)
+    layer_ratio = (np.abs(layer["dx_h1"]) + np.abs(layer["dz_h1"])) ** 2
+    gap_ratio = (np.abs(gap["dx_h2"]) + np.abs(gap["dz_h2"])) ** 2 * (H + w)
+    return {
+        "m1": max(np.max(layer_ratio), np.max(gap_ratio)),
+        "m3": max(np.max(layer["dw_h1"] ** 2), np.max(gap["dw_h2"] ** 2 * (H + w))),
+    }
+
+
+_GROWTH_CASES = {
+    **{case: [_device_case(case)] for case in ("V0", "V1", "V3", "V11", "tau0.5")},
+    # s2 d / s1 = 100 > w_max + H = 51: the gap ratios peak at the end of the
+    # working range, and there they exceed the layer ratios
+    "gap-clamped": [PhysicalParams(V=2.0, d=50.0, sigma2=2.0)],
+    "random": [_random_device(np.random.default_rng(20261020)) for _ in range(40)],
+}
+
+
+@pytest.mark.parametrize("case", list(_GROWTH_CASES))
+def test_closed_form_m_constants_bound_dense_samples(case):
+    # the closed forms bound every sample of the growth ratios and are their sampled max
+    for p in _GROWTH_CASES[case]:
+        c = derive_constants(p)
+        if case == "gap-clamped":
+            assert p.sigma2 * p.d / p.sigma1 > c.w_max + p.H
+        sampled = _sampled_growth_ratios(p, c.w_max)
+        for name in ("m1", "m3"):
+            closed = getattr(c, name)
+            assert closed >= sampled[name], name
+            assert closed == pytest.approx(max(sampled[name], EPS_M), rel=1e-6), name
+
+
+# derive_constants(...).as_dict() as float.hex strings, recorded when the family still
+# broadcast its inputs to the full (x, z, w) block; m1, m3 and A re-recorded for the
+# closed-form growth constants (m1 = m3 = V^2 (1 + 2^-48) on these devices)
 _GOLDEN_CONSTANTS = {
     "V0": {"sigma_bar": "0x1.0000000000000p+0", "m1": "0x1.19799812dea11p-40", "m2": "0x1.19799812dea11p-40", "m3": "0x1.19799812dea11p-40", "K": "0x1.19799812dea11p-40", "G0": "0x1.357c299a88ea7p-80", "A": "0x1.a636641c505cap-36", "kappa0": "0x1.9000000000000p+4", "w_max": "0x1.9000000000000p+5", "eps_m": "0x1.19799812dea11p-40"},
-    "V2": {"sigma_bar": "0x1.0000000000000p+0", "m1": "0x1.0cccccccccccdp+2", "m2": "0x1.19799812dea11p-40", "m3": "0x1.0cccccccccccdp+2", "K": "0x1.19799812dea11p-40", "G0": "0x1.357c299a88ea7p-80", "A": "0x1.1a3d70a3d7177p+9", "kappa0": "0x1.9000000000000p+4", "w_max": "0x1.9000000000000p+5", "eps_m": "0x1.19799812dea11p-40"},
-    "V11": {"sigma_bar": "0x1.0000000000000p+0", "m1": "0x1.fc33333333334p+6", "m2": "0x1.19799812dea11p-40", "m3": "0x1.fc33333333334p+6", "K": "0x1.19799812dea11p-40", "G0": "0x1.357c299a88ea7p-80", "A": "0x1.f86d9eb851ebap+18", "kappa0": "0x1.9000000000000p+4", "w_max": "0x1.9000000000000p+5", "eps_m": "0x1.19799812dea11p-40"},
-    "tau0.5": {"sigma_bar": "0x1.0000000000000p+0", "m1": "0x1.2e66666666667p+3", "m2": "0x1.19799812dea11p-40", "m3": "0x1.2e66666666667p+3", "K": "0x1.19799812dea11p-40", "G0": "0x1.357c299a88ea7p-80", "A": "0x1.6535c28f5c2c6p+11", "kappa0": "0x1.4400000000000p+6", "w_max": "0x1.4400000000000p+7", "eps_m": "0x1.19799812dea11p-40"},
+    "V2": {"sigma_bar": "0x1.0000000000000p+0", "m1": "0x1.0000000000010p+2", "m2": "0x1.19799812dea11p-40", "m3": "0x1.0000000000010p+2", "K": "0x1.19799812dea11p-40", "G0": "0x1.357c299a88ea7p-80", "A": "0x1.00000000000f3p+9", "kappa0": "0x1.9000000000000p+4", "w_max": "0x1.9000000000000p+5", "eps_m": "0x1.19799812dea11p-40"},
+    "V11": {"sigma_bar": "0x1.0000000000000p+0", "m1": "0x1.e40000000001ep+6", "m2": "0x1.19799812dea11p-40", "m3": "0x1.e40000000001ep+6", "K": "0x1.19799812dea11p-40", "G0": "0x1.357c299a88ea7p-80", "A": "0x1.c988000000039p+18", "kappa0": "0x1.9000000000000p+4", "w_max": "0x1.9000000000000p+5", "eps_m": "0x1.19799812dea11p-40"},
+    "tau0.5": {"sigma_bar": "0x1.0000000000000p+0", "m1": "0x1.2000000000012p+3", "m2": "0x1.19799812dea11p-40", "m3": "0x1.2000000000012p+3", "K": "0x1.19799812dea11p-40", "G0": "0x1.357c299a88ea7p-80", "A": "0x1.440000000005ep+11", "kappa0": "0x1.4400000000000p+6", "w_max": "0x1.4400000000000p+7", "eps_m": "0x1.19799812dea11p-40"},
 }
 
 
 @pytest.mark.parametrize("case", sorted(_GOLDEN_CONSTANTS))
 def test_derived_constants_golden(case):
-    p, f = _device_case(case)
     expected = {name: float.fromhex(h) for name, h in _GOLDEN_CONSTANTS[case].items()}
-    assert derive_constants(p, f).as_dict() == expected
+    assert derive_constants(_device_case(case)).as_dict() == expected
