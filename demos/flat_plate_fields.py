@@ -42,7 +42,7 @@ for c in (-p.H / 2, 0.0, p.H):
 
     Ee = solver.electrostatic_energy(pf)
     Ee_exact = -(2 * p.L / 2) * p.V**2 * p.sigma1 * p.sigma2 / den
-    g = compute_force(u, pf, fam, p)
+    g = compute_force(u, pf, p)
     g_exact = force_analytic_flat(c, p)
     print(f"{c:6.2f} {err:13.2e} {Ee:12.6f} {Ee_exact:12.6f} {g.values[32]:10.6f} {g_exact:10.6f}")
 

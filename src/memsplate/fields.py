@@ -442,6 +442,8 @@ class FieldSolver:
         # sigma1 at the Gauss points of each layer element; axes [jz, ix, qz, qx]
         # flatten to q = 2*qz + qx, matching the shape-table ordering
         self._sigma1_q = p.sigma1_at(self._xq[None, :, None, :], zq[:, None, :, None]).reshape(-1, 4)
+        if not np.all(np.isfinite(self._sigma1_q) & (self._sigma1_q > 0.0)):
+            raise ValueError("sigma1 must be finite and > 0 at every Gauss point of the layer")
 
         # the pinned nodes are the grid's boundary ring and the free nodes its
         # interior, numbered row-major: the layer interior, then the interface

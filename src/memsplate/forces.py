@@ -1,11 +1,13 @@
 """Electrostatic force on the plate from the solved potential.
 
-The force density at a plate node combines the vertical trace derivative of
-the gap potential on the plate with the boundary-data partials there, both at
-the floored plate height w of the field (see ``fields``): on the contact set
-the gap is eps to 1.2 eps thin and the same formula applies.  The plate is
-held at the constant potential V, so the correction terms vanish identically
-and the force is the nonnegative square term alone.
+The force density at a plate node is the square term
+g = sigma2 (1 + gamma'^2) (dz psi)^2 / 2 of the vertical trace derivative of
+the gap potential on the plate, at the floored plate height w of the field
+(see ``fields``): on the contact set the gap is eps to 1.2 eps thin and the
+same formula applies.  The paper's correction terms carry the plate-trace
+partials of the boundary data; the plate is held at the constant potential V,
+so h2(x, w, w) = V, those partials cancel to zero, and the force is the
+nonnegative square term alone.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .errors import InfeasiblePerturbation, MissingTrace
 from .fields import FieldSolver, PotentialField
 from .hermite import PlateState, assemble_mass
-from .params import BoundaryDataFamily, PhysicalParams
+from .params import PhysicalParams
 
 __all__ = [
     "ForceProfile",
@@ -34,16 +36,10 @@ class ForceProfile:
 
     x: np.ndarray
     values: np.ndarray          # g at plate nodes
-    frak_g: np.ndarray          # square term alone
     contact: np.ndarray         # True where the node's gap is at most eps (reported only)
 
 
-def compute_force(
-    u: PlateState,
-    pf: PotentialField,
-    family: BoundaryDataFamily,
-    p: PhysicalParams,
-) -> ForceProfile:
+def compute_force(u: PlateState, pf: PotentialField, p: PhysicalParams) -> ForceProfile:
     """Evaluate the force density at the plate nodes of u's grid."""
     n_x = len(pf.x) - 1
     if n_x % u.grid.n_elems != 0:
@@ -51,17 +47,9 @@ def compute_force(
     stride = n_x // u.grid.n_elems
     cols = stride * np.arange(u.grid.n_nodes)
 
-    xs = pf.x[cols]
     gm = pf.gap
-    w = gm.w[cols]
-    tr = pf.top_trace_dz[cols]
-    hz = family.dz_h2(xs, w, w)
-    hw = family.dw_h2(xs, w, w)
-    hx = family.dx_h2(xs, w, w)
-    s2 = p.sigma2
-    frak = 0.5 * s2 * (1.0 + gm.dgamma[cols] ** 2) * (tr - hz - hw) ** 2
-    g = frak - 0.5 * s2 * (hx**2 + (hz + hw) ** 2)
-    return ForceProfile(xs, g, frak, gm.contact[cols])
+    g = 0.5 * p.sigma2 * (1.0 + gm.dgamma[cols] ** 2) * pf.top_trace_dz[cols] ** 2
+    return ForceProfile(pf.x[cols], g, gm.contact[cols])
 
 
 def force_analytic_flat(c: float, p: PhysicalParams) -> float:
@@ -87,7 +75,6 @@ def directional_derivative_check(
     w: PlateState,
     eps_list,
     solver: FieldSolver,
-    family: BoundaryDataFamily,
     p: PhysicalParams,
 ) -> dict:
     """Compare difference quotients of the field energy with the force pairing.
@@ -107,7 +94,7 @@ def directional_derivative_check(
         raise InfeasiblePerturbation("base state has contact columns")
     pf = solver.solve(u)
     Ee0 = solver.electrostatic_energy(pf)
-    gprof = compute_force(u, pf, family, p)
+    gprof = compute_force(u, pf, p)
     inner = float(force_load_vector(gprof, u, M) @ w.dofs)
 
     quotients, mismatches = [], []

@@ -123,9 +123,8 @@ def potential_meta(pf: PotentialField) -> dict:
 
 
 def write_force_csv(path, gprof: ForceProfile):
-    columns_to_csv(path, ["x", "g", "branch", "frak_g", "g_hex", "frak_g_hex"], [
-        gprof.x, gprof.values, np.where(gprof.contact, "contact", "non-contact"),
-        gprof.frak_g, gprof.values, gprof.frak_g,
+    columns_to_csv(path, ["x", "g", "branch", "g_hex"], [
+        gprof.x, gprof.values, np.where(gprof.contact, "contact", "non-contact"), gprof.values,
     ])
 
 

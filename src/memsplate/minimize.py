@@ -41,7 +41,6 @@ from .hermite import (
     unit_energy_diagonal,
 )
 from .params import (
-    BoundaryDataFamily,
     DerivedConstants,
     PhysicalParams,
     build_canonical_boundary_data,
@@ -128,7 +127,6 @@ class SolveContext:
     """Shared immutable pieces of one device setup (matrices, field solver, constants)."""
 
     p: PhysicalParams
-    family: BoundaryDataFamily
     constants: DerivedConstants
     plate: PlateGrid
     field_grid: FieldGrid
@@ -181,7 +179,7 @@ def make_context(
     norms = np.sqrt(unit_energy_diagonal(plate))
     solver = FieldSolver(p, family, field_grid, tol_lin=settings.tol_lin)
     return SolveContext(
-        p=p, family=family, constants=constants, plate=plate, field_grid=field_grid,
+        p=p, constants=constants, plate=plate, field_grid=field_grid,
         settings=settings, K=B + S, M=M, field=solver, _free=free, _norms=norms,
     )
 
@@ -273,7 +271,7 @@ def _certify(ctx: SolveContext, u: PlateState, ev: dict) -> dict:
     r_mech = ctx.K @ u.dofs + ev["pen_grad"]
     r = r_mech + ctx.field.shape_gradient_load(ev["pf"], u)
     vi, fp = _residuals(ctx, u, r)
-    force = compute_force(u, ev["pf"], ctx.family, ctx.p)
+    force = compute_force(u, ev["pf"], ctx.p)
     trace, _ = _residuals(ctx, u, r_mech + force_load_vector(force, u, ctx.M))
     return {"r": r, "vi": vi, "fp": fp, "tol": tol_vi_for(ctx, u), "force": force, "trace": trace}
 

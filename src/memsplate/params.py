@@ -8,7 +8,8 @@ The boundary-data family is the one-dimensional transmission profile
 
 which satisfies the interface matching and flux-matching identities exactly,
 grounds the bottom electrode, and holds the plate at potential V.  The plate
-trace is that constant, so the trace constant K is the floor EPS_M.  The
+trace is that constant, so the trace constant K is the floor EPS_M and the
+force is its square term (``forces``).  The
 growth constants used by the energy regularization are the exact suprema of
 their ratios over the working deflection range, in closed form, rounded up
 by 2^-48 relative.
@@ -71,12 +72,9 @@ class PhysicalParams:
         for ok, msg in checks:
             if not ok:
                 raise ValueError(msg)
-        if self.sigma1_is_constant:
-            if not 0.0 < float(self.sigma1) < np.inf:  # type: ignore[arg-type]
-                raise ValueError("sigma1 must be finite and > 0")
-        else:
-            if self.sigma1_min() <= 0.0:
-                raise ValueError("sigma1 must be positive throughout the layer")
+        # a callable sigma1 is checked where the field solver evaluates it
+        if self.sigma1_is_constant and not 0.0 < float(self.sigma1) < np.inf:  # type: ignore[arg-type]
+            raise ValueError("sigma1 must be finite and > 0")
 
     @property
     def sigma1_is_constant(self) -> bool:
@@ -87,51 +85,34 @@ class PhysicalParams:
             return np.broadcast_to(float(self.sigma1), np.broadcast(x, z).shape).copy()  # type: ignore[arg-type]
         return np.asarray(self.sigma1(np.asarray(x, float), np.asarray(z, float)), dtype=float)
 
-    def _sigma1_samples(self, n: int = 64) -> np.ndarray:
-        x = np.linspace(-self.L, self.L, n)
-        z = np.linspace(-self.H - self.d, -self.H, n)
-        return self.sigma1_at(x[:, None], z[None, :])
-
-    def sigma1_min(self) -> float:
-        if self.sigma1_is_constant:
-            return float(self.sigma1)  # type: ignore[arg-type]
-        return float(self._sigma1_samples().min())
-
-    def sigma1_max(self) -> float:
-        if self.sigma1_is_constant:
-            return float(self.sigma1)  # type: ignore[arg-type]
-        return float(self._sigma1_samples().max())
-
     def with_V(self, V: float) -> "PhysicalParams":
         return replace(self, V=float(V))
-
-
-def sigma_bar(p: PhysicalParams) -> float:
-    """max of the layer permittivity sup and the gap permittivity."""
-    return max(p.sigma1_max(), p.sigma2)
-
-
-@dataclass(frozen=True)
-class BoundaryDataFamily:
-    """Dirichlet data h1 (layer) / h2 (gap) and the closed-form first partials of h2.
-
-    All callables take (x, z, w); w is the plate deflection at the column
-    being evaluated.  A result broadcasts against the inputs but need not have
-    their full shape: data that do not depend on x carry no x axis (the
-    builtin h1 of x (n,1,1), z (1,m,1), w (1,1,k) has shape (1,m,k)).
-    """
-
-    h1: Callable
-    h2: Callable
-    dx_h2: Callable
-    dz_h2: Callable
-    dw_h2: Callable
 
 
 def _constant_sigma1(p: PhysicalParams) -> float:
     if not p.sigma1_is_constant:
         raise NonConstantPermittivity("transmission-profile family needs constant sigma1")
     return float(p.sigma1)  # type: ignore[arg-type]
+
+
+def sigma_bar(p: PhysicalParams) -> float:
+    """max of the layer permittivity and the gap permittivity; needs a constant sigma1."""
+    return max(_constant_sigma1(p), p.sigma2)
+
+
+@dataclass(frozen=True)
+class BoundaryDataFamily:
+    """Dirichlet data h1 (layer) / h2 (gap).
+
+    Both callables take (x, z, w); w is the plate deflection at the column
+    being evaluated.  A result broadcasts against the inputs but need not have
+    their full shape: data that do not depend on x carry no x axis (the
+    builtin h1 of x (n,1,1), z (1,m,1), w (1,1,k) has shape (1,m,k)).  The
+    plate trace h2(x, w, w) is V, so the force needs no partial of the data.
+    """
+
+    h1: Callable
+    h2: Callable
 
 
 def build_canonical_boundary_data(p: PhysicalParams) -> BoundaryDataFamily:
@@ -148,19 +129,7 @@ def build_canonical_boundary_data(p: PhysicalParams) -> BoundaryDataFamily:
     def h2(x, z, w):
         return V * (s1 * (z + H) + s2 * d) / denom(w)
 
-    def dx_h2(x, z, w):
-        return 0.0 * (s1 * (z + H) + s2 * d) / denom(w)
-
-    def dz_h2(x, z, w):
-        return V * s1 / denom(w) + 0.0 * z
-
-    def dw_h2(x, z, w):
-        return -V * s1 * (s1 * (z + H) + s2 * d) / denom(w) ** 2
-
-    return BoundaryDataFamily(
-        h1=h1, h2=h2,
-        dx_h2=dx_h2, dz_h2=dz_h2, dw_h2=dw_h2,
-    )
+    return BoundaryDataFamily(h1=h1, h2=h2)
 
 
 def compute_m_constants(p: PhysicalParams, w_max: float) -> tuple[float, float, float]:
@@ -226,9 +195,9 @@ class DerivedConstants:
 def derive_constants(p: PhysicalParams) -> DerivedConstants:
     """All derived constants, on the working range [-H, 2 max(kappa0, H)].
 
-    The plate trace h2(x, w, w) = V is constant, so its gradient
-    dx_h2 + dz_h2 + dw_h2 is exactly zero and the trace constant K is the
-    floor EPS_M, with the force floor magnitude G0 = sigma2 K^2.  A constant
+    The plate trace h2(x, w, w) = V is constant, so its x-derivative and
+    (d/dz + d/dw) h2 on the plate are exactly zero and the trace constant K is
+    the floor EPS_M, with the force floor magnitude G0 = sigma2 K^2.  A constant
     that overflows raises UnboundedGrowth.
     """
     sbar = sigma_bar(p)

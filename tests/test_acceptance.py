@@ -88,7 +88,7 @@ def state_matrix(ctx, params):
         solver = FieldSolver(pV, fam, FIELD)
         for u in states[:11]:
             pf = solver.solve(u)
-            g = compute_force(u, pf, fam, pV)
+            g = compute_force(u, pf, pV)
             solved.append((pV, u, pf, g))
     return solved
 
@@ -117,7 +117,7 @@ def sweep_result(ctx, params):
 
 def test_criterion_1_flat_plate_oracles(ctx, params):
     p = params
-    fam = ctx.family
+    fam = ctx.field.family
     worst_psi = worst_ee = worst_g = 0.0
     for c in (-p.H / 2, 0.0, p.H):
         t0 = time.time()
@@ -133,7 +133,7 @@ def test_criterion_1_flat_plate_oracles(ctx, params):
         Ee_exact = -p.L * p.V**2 * p.sigma1 * p.sigma2 / den
         err_ee = abs(Ee - Ee_exact) / abs(Ee_exact)
 
-        g = compute_force(u, pf, fam, p)
+        g = compute_force(u, pf, p)
         g_exact = force_analytic_flat(c, p)
         err_g = np.max(np.abs(g.values - g_exact)) / g_exact
         dt = time.time() - t0
@@ -157,7 +157,7 @@ def test_criterion_2_mesh_convergence(params):
         u = interpolate(PlateGrid(n, p.L), f, df)
         solver = FieldSolver(p, fam, FieldGrid(n, n // 2, n // 2))
         pf = solver.solve(u)
-        g = compute_force(u, pf, fam, p)
+        g = compute_force(u, pf, p)
         sols[n] = (pf, g)
 
     def excluded(g, n):
@@ -218,7 +218,7 @@ def test_criterion_4_force_energy_consistency(ctx, params):
     ok = True
     worst_final = 0.0
     for u, w in pairs:
-        rep = directional_derivative_check(u, w, [1e-2, 1e-3, 1e-4], ctx.field, ctx.family, p)
+        rep = directional_derivative_check(u, w, [1e-2, 1e-3, 1e-4], ctx.field, p)
         m = rep["mismatch"]
         decreasing = m[0] < m[1] < m[2]
         ok = ok and decreasing and rep["final_relative_mismatch"] <= 0.05

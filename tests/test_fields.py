@@ -451,6 +451,22 @@ def test_pcg_takes_the_steps_of_scipy_cg(setup):
         assert np.linalg.norm(x - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
 
 
+@pytest.mark.parametrize("value", [-2.0, np.nan], ids=["negative", "nan"])
+def test_field_solver_refuses_sigma1_bad_at_a_gauss_point(value):
+    # sigma1 is 1 except in a strip 2e-4 thick around the first Gauss level of a
+    # 16 x 8 x 8 field: a 64 x 64 sample of the layer misses it, but the layer
+    # stiffness is built from sigma1 at exactly that level, where it is not > 0
+    p0 = PhysicalParams(V=2.0)
+    z_g = -p0.H - p0.d + (0.5 - 0.5 / np.sqrt(3.0)) * p0.d / 8
+
+    def strip(x, z):
+        return np.where(np.abs(z - z_g) < 1e-4, value, 1.0) + 0.0 * x
+
+    p = PhysicalParams(V=2.0, sigma1=strip)  # accepted: a callable is checked where it is used
+    with pytest.raises(ValueError, match="sigma1"):
+        FieldSolver(p, build_canonical_boundary_data(p0), FieldGrid(16, 8, 8))
+
+
 def z_varying_layer(x, z):
     return 1.0 + 0.2 * z + 0.0 * x
 

@@ -108,7 +108,7 @@ def test_csv_writers_match_per_row_reference(tmp_path):
     family = build_canonical_boundary_data(p)
     pf = FieldSolver(p, family, FieldGrid(64, 16, 16)).solve(u)
     gm = pf.gap
-    g = compute_force(u, pf, family, p)
+    g = compute_force(u, pf, p)
     assert gm.contact.any() and not gm.contact.all()
     assert g.contact.any() and not g.contact.all()
     write_plate_csv(tmp_path / "u.csv", u)
@@ -122,10 +122,9 @@ def test_csv_writers_match_per_row_reference(tmp_path):
         [repr(float(a)), int(c), repr(float(g)), repr(float(dg)), float(g).hex(), float(dg).hex()]
         for a, c, g, dg in zip(gm.x, gm.contact, gm.gamma, gm.dgamma)
     ])
-    _per_row_csv(tmp_path / "g_ref.csv", ["x", "g", "branch", "frak_g", "g_hex", "frak_g_hex"], [
-        [repr(float(a)), repr(float(v)), "contact" if c else "non-contact", repr(float(f)),
-         float(v).hex(), float(f).hex()]
-        for a, v, c, f in zip(g.x, g.values, g.contact, g.frak_g)
+    _per_row_csv(tmp_path / "g_ref.csv", ["x", "g", "branch", "g_hex"], [
+        [repr(float(a)), repr(float(v)), "contact" if c else "non-contact", float(v).hex()]
+        for a, v, c in zip(g.x, g.values, g.contact)
     ])
     for name in ("u", "contact", "g"):
         assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_ref.csv").read_bytes(), name

@@ -107,21 +107,17 @@ def test_m_constants_canonical_values(unit_params):
 
 
 def test_K_canonical_at_floor():
+    # the plate trace h2(x, w, w) = V behind it is checked in
+    # test_canonical_grounding_and_plate_rows
     p = PhysicalParams(V=2.0)
-    canonical = build_canonical_boundary_data(p)
     c = derive_constants(p)
     assert c.K == EPS_M
     assert c.G0 == p.sigma2 * EPS_M**2
-    # trace identities behind it, checked directly
-    x = np.linspace(-p.L, p.L, 33)[:, None]
-    w = np.linspace(-p.H, c.w_max, 33)[None, :]
-    assert np.max(np.abs(canonical.dx_h2(x, w, w))) <= 1e-12
-    assert np.max(np.abs(canonical.dz_h2(x, w, w) + canonical.dw_h2(x, w, w))) <= 1e-12
 
 
 def test_K_canonical_is_the_floor_at_any_voltage():
     # the builtin plate trace is the constant V, so K is the floor at every V; a
-    # sample of dz_h2 + dw_h2 would read rounding noise that grows with V
+    # sample of the trace partials would read rounding noise that grows with V
     for V in (1e4, 1e20):
         p = PhysicalParams(V=V)
         c = derive_constants(p)
@@ -196,8 +192,11 @@ def test_derive_constants_ranges(unit_params):
 
 
 def test_sigma_bar_with_varying_layer():
+    # a varying layer has no closed-form sup here: sigma_bar refuses it, as
+    # build_canonical_boundary_data and derive_constants do, rather than sample it
     p = PhysicalParams(sigma1=lambda x, z: 2.0 + np.sin(x) * 0.5 + 0.0 * z, sigma2=1.0)
-    assert sigma_bar(p) == pytest.approx(2.0 + 0.5 * np.sin(1.0), abs=1e-3)
+    with pytest.raises(NonConstantPermittivity):
+        sigma_bar(p)
 
 
 def _device_case(case):
