@@ -109,6 +109,7 @@ def cmd_solve(args) -> int:
     bundle = parse_config(args.config)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    t_setup = time.time()
     ctx = _context_from_bundle(bundle)
 
     t_solve = time.time()
@@ -126,8 +127,8 @@ def cmd_solve(args) -> int:
     files += ["energy.json", "certificate.json", "trajectory.jsonl"]
 
     timings = {
-        "total_s": time.time() - t_start, "solve_s": t_solved - t_solve,
-        "cpu_s": time.process_time() - cpu_start,
+        "total_s": time.time() - t_start, "setup_s": t_solve - t_setup, "solve_s": t_solved - t_solve,
+        "write_s": time.time() - t_solved, "cpu_s": time.process_time() - cpu_start,
     }
     write_json(outdir / "manifest.json", _manifest(bundle, ctx, outdir, files, timings))
     converged = certificate["status"] == "converged"

@@ -14,11 +14,12 @@ with the plate.  Both subdomains are discretized with bilinear elements on
 tensor grids (a second-order nine-point stencil); sharing the interface row
 makes the discrete operator symmetric and balances the normal flux
 sigma dz(psi) across the interface to the order of the scheme.  Only the gap
-moves with the plate: the layer interior is factored and eliminated onto the
-interface row once per layer and process, so each solve factors (or iterates
-on) the interface row and the gap interior alone.  A flat gap over a layer
-that does not vary in x makes that block the same in every column; the sine
-transform along x then solves it without a factorization (``_SineSolver``).
+moves with the plate: the layer interior is eliminated onto the interface row
+once per layer and process, by the sine transform along x when sigma1 does not
+vary in x and by SuperLU otherwise (``_Layer``), so each solve assembles, and
+factors or iterates on, the interface row and the gap interior alone.  A flat
+gap over such a layer makes that block the same in every column; the sine
+transform then solves it without a factorization (``_SineSolver``).
 The iteration is an in-module preconditioned CG (``_pcg``); it, the sine
 solver and the residual check sum their dot products with numpy's own loops
 and never call BLAS, so a solve does not wake numpy's BLAS thread pool.
@@ -81,21 +82,20 @@ def _floored(u: np.ndarray, floor: float, band: float):
 
 
 def _q1_tables():
-    """Q1 shape values/derivatives at the 4 Gauss points of the unit square.
+    """Q1 shape derivatives and the weights at the 4 Gauss points of the unit square.
 
-    Returns (N, Nxi, Nze, W) with shape (4, 4): basis index x point index;
+    Returns (Nxi, Nze, W) with shape (4, 4): basis index x point index;
     point q = 2*qz + qx pairs the x-point qx with the vertical point qz.
     """
     xi = np.tile(_GP, 2)
     ze = np.repeat(_GP, 2)
-    N = np.stack([(1 - xi) * (1 - ze), xi * (1 - ze), (1 - xi) * ze, xi * ze])
     Nxi = np.stack([-(1 - ze), (1 - ze), -ze, ze])
     Nze = np.stack([-(1 - xi), -xi, (1 - xi), xi])
     W = np.tile(_GW, 2) * np.repeat(_GW, 2)
-    return N, Nxi, Nze, W
+    return Nxi, Nze, W
 
 
-_N, _NXI, _NZE, _W = _q1_tables()
+_NXI, _NZE, _W = _q1_tables()
 
 # (z, x) offset of each Q1 basis corner within its element, in basis order
 _CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -113,15 +113,15 @@ _LAYER_CHUNK = 16
 
 
 def _add_elements(stencil: np.ndarray, ke: np.ndarray) -> None:
-    """Add packed element matrices (n_rows, n_cols, 10) into a nine-point stencil in place.
+    """Add packed element matrices (n_rows, n_cols, ..., 10) into a nine-point stencil in place.
 
-    ``stencil[r, c, 1 + dz, 1 + dx]`` couples node (r, c) to node (r + dz, c + dx);
+    ``stencil[r, c, ..., 1 + dz, 1 + dx]`` couples node (r, c) to node (r + dz, c + dx);
     element (j, i) has its lower-left corner at node (j, i).
     """
     nr, nc = ke.shape[:2]
     for a, (az, ax) in enumerate(_CORNERS):
         for b, (bz, bx) in enumerate(_CORNERS):
-            stencil[az:az + nr, ax:ax + nc, 1 + bz - az, 1 + bx - ax] += ke[:, :, _PACKED[a, b]]
+            stencil[az:az + nr, ax:ax + nc, ..., 1 + bz - az, 1 + bx - ax] += ke[..., _PACKED[a, b]]
 
 
 def _nine_point_pattern(nr: int, nc: int):
@@ -245,7 +245,7 @@ class _SineSolver:
 
     def __init__(self, rows: np.ndarray, layer_sine: np.ndarray):
         # rows (n_rows, 3, 3): the stencil of one column; row 0 is the interface row
-        cos = 2.0 * np.cos(np.pi * np.arange(1, layer_sine.size + 1) / (layer_sine.size + 1))
+        self.cos = cos = 2.0 * np.cos(np.pi * np.arange(1, layer_sine.size + 1) / (layer_sine.size + 1))
         diag = rows[:, 1, 1, None] + rows[:, 1, 0, None] * cos
         diag[0] -= layer_sine
         upper = np.zeros_like(diag)  # row r to row r + 1 within a mode, 0 from a mode's last row to the next mode
@@ -260,17 +260,21 @@ class _SineSolver:
 
 @dataclass(frozen=True)
 class _Layer:
-    """The layer interior, factored once and eliminated onto the interface row above it.
+    """The layer interior, solved once per layer and eliminated onto the interface row above it.
 
     With the free nodes split into the layer interior L and the interface
     row plus the gap interior, the layer enters the rest only through the
     interface row I: the condensed block is the gap block less
     ``correction`` = A_IL A_LL^-1 A_LI on I x I, its right-hand side loses
     A_IL A_LL^-1 b_L on I, and the layer values are A_LL^-1 (b_L - A_LI x_I).
+    When sigma1 does not vary in x, A_LL is solved by the sine transform
+    (``_SineSolver``) and the correction is c_m^2 [A_LL,m^-1]_last,last in sine
+    mode m, c_m the last layer row's coupling to I: a 0.5 ms build on the
+    default grid, against about 84 ms for SuperLU, which factors any other layer.
     """
 
     rows: np.ndarray          # layer stencil on the interior rows 1..n_z1-1 it was built from
-    lu: object                # SuperLU factor of A_LL
+    lu: object                # A_LL's solver: a _SineSolver for an x-invariant layer, else its SuperLU factor
     coupling: sp.csr_matrix   # the last layer row's couplings to I: A_LI's nonzero rows
     correction: np.ndarray    # A_IL A_LL^-1 A_LI, symmetrized, (n_x-1, n_x-1)
     edge: np.ndarray          # layer nodes next to the pinned ring, where b_L can be nonzero
@@ -280,31 +284,40 @@ class _Layer:
     @classmethod
     def build(cls, rows: np.ndarray) -> "_Layer":
         nl, nj = rows.shape[:2]
-        keep, indices, indptr = _nine_point_pattern(nl, nj)
-        lu = _factor(sp.csr_matrix((rows[keep], indices, indptr), shape=(nl * nj, nl * nj)))
         top = rows[-1, :, 2]  # dx = -1, 0, +1 onto the interface row above
         coupling = sp.diags([top[1:, 0], top[:, 1], top[:-1, 2]], [-1, 0, 1], format="csr")
         edge = np.zeros((nl, nj), bool)
         edge[0] = edge[:, 0] = edge[:, -1] = True
         edge = np.flatnonzero(edge)
-        correction, edge_map = np.empty((nj, nj)), np.empty((nj, edge.size))
-        # A_LL^-1 A_LI a few columns at a time: one dense n_L x n_x block would
-        # cost more memory and, under a threaded BLAS, more time
-        for j in range(0, nj, _LAYER_CHUNK):
-            cols = slice(j, j + _LAYER_CHUNK)
-            block = coupling[:, cols].toarray()
-            rhs = np.zeros((nl * nj, block.shape[1]))
-            rhs[-nj:] = block
-            Z = lu.solve(rhs)
-            correction[:, cols] = coupling.T @ Z[-nj:]
-            edge_map[cols] = Z[edge].T
-        correction = 0.5 * (correction + correction.T)
-        sine = np.diagonal(_dst(_dst(correction).T)).copy() if _x_invariant(rows) else None
-        return cls(rows.copy(), lu, coupling, correction, edge, edge_map, sine)
+        if _x_invariant(rows):
+            lu = _SineSolver(rows[:, 0], np.zeros(nj))
+            c = top[0, 1] + top[0, 0] * lu.cos  # each sine mode's coupling to the interface row
+            # G[m] = c_m A_LL,m^-1 e_last, from e_last in every sine mode m
+            G = lapack.dpttrs(lu.d, lu.e, np.tile(np.eye(nl)[-1], nj))[0].reshape(nj, nl) * c[:, None]
+            sine = c * G[:, -1]
+            correction = _dst(_dst(np.diag(sine)).T)
+            # A_LL^-1 A_LI on the first layer row, then on both side columns row by row
+            sides = _dst(_dst(np.eye(nj)[[0, -1]])[:, None, :] * G.T)[:, 1:].transpose(1, 0, 2).reshape(-1, nj)
+            edge_map = np.concatenate([_dst(_dst(np.diag(G[:, 0])).T), sides]).T
+        else:
+            keep, indices, indptr = _nine_point_pattern(nl, nj)
+            lu = _factor(sp.csr_matrix((rows[keep], indices, indptr), shape=(nl * nj, nl * nj)))
+            correction, edge_map, sine = np.empty((nj, nj)), np.empty((nj, edge.size)), None
+            # A_LL^-1 A_LI a few columns at a time: one dense n_L x n_x block would
+            # cost more memory and, under a threaded BLAS, more time
+            for j in range(0, nj, _LAYER_CHUNK):
+                cols = slice(j, j + _LAYER_CHUNK)
+                block = coupling[:, cols].toarray()
+                rhs = np.zeros((nl * nj, block.shape[1]))
+                rhs[-nj:] = block
+                Z = lu.solve(rhs)
+                correction[:, cols] = coupling.T @ Z[-nj:]
+                edge_map[cols] = Z[edge].T
+        return cls(rows.copy(), lu, coupling, 0.5 * (correction + correction.T), edge, edge_map, sine)
 
     def load(self, b_layer: np.ndarray) -> np.ndarray:
-        """What the layer's right-hand side puts on the interface row: A_IL A_LL^-1 b_L."""
-        return self.edge_map @ b_layer[self.edge]
+        """What the layer's right-hand side puts on the interface row: A_IL A_LL^-1 b_L, without BLAS."""
+        return np.einsum("ie,e->i", self.edge_map, b_layer[self.edge])
 
     def recover(self, b_layer: np.ndarray, x_interface: np.ndarray) -> np.ndarray:
         """The layer values A_LL^-1 (b_L - A_LI x_I)."""
@@ -313,24 +326,33 @@ class _Layer:
         return self.lu.solve(r)
 
 
-# the most recent layer condensation.  An entry is never modified, only
-# replaced, and a solve keeps the one it read: threads that miss together
-# each build an equal entry and the last one stays.
+# the most recent layer condensation, and the last rows found equal to its own so that
+# a solver's later solves find it by identity.  An entry is never modified, only replaced,
+# and a solve keeps the one it read: threads that miss together each build an equal one.
 _LAYER = None
+_LAYER_SEEN = (None, None)
 
 
 def _condensed_layer(rows: np.ndarray) -> _Layer:
-    """The layer condensation of these layer stencil rows, built on a miss and kept until the next."""
-    global _LAYER
-    layer = _LAYER
-    if layer is None or not np.array_equal(layer.rows, rows):
-        layer = _LAYER = _Layer.build(rows)
+    """The ``_Layer`` of these never modified layer stencil rows, built on a miss and kept until the next."""
+    global _LAYER, _LAYER_SEEN
+    seen_rows, layer = _LAYER_SEEN
+    if seen_rows is not rows or layer is not _LAYER:
+        layer = _LAYER
+        if layer is None or not np.array_equal(layer.rows, rows):
+            layer = _LAYER = _Layer.build(rows)
+        _LAYER_SEEN = (rows, layer)
     return layer
 
 
-def _corners(arr: np.ndarray) -> np.ndarray:
-    """Corner values of every element of a tensor-grid array, basis-ordered, (n_elems, 4)."""
-    return np.stack([arr[:-1, :-1], arr[:-1, 1:], arr[1:, :-1], arr[1:, 1:]], axis=-1).reshape(-1, 4)
+def _gauss_gradients(psi: np.ndarray, hx: float, hz: float):
+    """d/dx and d/dz of a bilinear node grid at its elements' 2x2 Gauss points, [qz, jz, kx] and [qx, jz, kx].
+
+    In a bilinear element d/dx varies only with z and d/dz only with x.
+    """
+    dx, dz = np.diff(psi, axis=1) / hx, np.diff(psi, axis=0) / hz
+    a, b = (1.0 - _GP)[:, None, None], _GP[:, None, None]
+    return a * dx[:-1] + b * dx[1:], a * dz[:, :-1] + b * dz[:, 1:]
 
 
 @dataclass(frozen=True)
@@ -380,6 +402,7 @@ class PotentialField:
     bottom_trace_dz1: np.ndarray     # dz(psi1) at z = -H, per column
     boundary_inf: float
     boundary_sup: float
+    gap_moments: np.ndarray          # FieldSolver._gap_moments of psi2
     residual: float                  # ||A x - b|| of the whole free-node system
     cg_iterations: int = 0           # CG iterations on a held factor, also when CG then missed tol_lin
     factor: object = None            # the condensed gap block's SuperLU factor or _SineSolver, for reuse nearby
@@ -400,13 +423,14 @@ class FieldSolver:
     one (n_z1+n_z2+1) x (n_x+1) tensor grid on which the operator is a
     nine-point stencil.  The pinned nodes are the grid's boundary ring
     (electrode, side walls, plate), so the unknowns are its interior.  The
-    layer interior does not move with the plate: it is factored and
-    eliminated onto the interface row once per layer (``_Layer``), and a
-    solve factors or iterates on the gap-plus-interface block alone, then
-    recovers the layer values with one solve on the layer factor.  The
+    layer interior does not move with the plate: it is eliminated onto the
+    interface row once per layer (``_Layer``; 0.5 ms on the default grid by
+    the sine transform when sigma1 does not vary in x, about 84 ms by SuperLU
+    otherwise), and a solve factors or iterates on the gap-plus-interface
+    block alone, then recovers the layer values with one layer solve.  The
     layer stencil and the CSR pattern of the condensed block are built once
-    per (params, grid); only the gap stencil's values are recomputed per
-    state.
+    per (params, grid); per state only the interface and gap rows are
+    assembled.
 
     The instance holds only this state-independent structure and no method
     modifies it: every per-state quantity lives in the returned GapMap and
@@ -439,19 +463,19 @@ class FieldSolver:
         self._xq = self.x[:-1, None] + _GP[None, :] * self.hx
         zq = self.z1[:-1, None] + _GP[None, :] * self.hz1
         self._etaq = self.eta[:-1, None] + _GP[None, :] * self.heta
-        # sigma1 at the Gauss points of each layer element; axes [jz, ix, qz, qx]
-        # flatten to q = 2*qz + qx, matching the shape-table ordering
-        self._sigma1_q = p.sigma1_at(self._xq[None, :, None, :], zq[:, None, :, None]).reshape(-1, 4)
+        # sigma1 at the Gauss points of each layer element, [qz, qx, jz, kx]: its
+        # first two axes flatten to q = 2*qz + qx, matching the shape-table ordering
+        self._sigma1_q = p.sigma1_at(self._xq.T[None, :, None, :], zq.T[:, None, :, None])
         if not np.all(np.isfinite(self._sigma1_q) & (self._sigma1_q > 0.0)):
             raise ValueError("sigma1 must be finite and > 0 at every Gauss point of the layer")
 
-        # the pinned nodes are the grid's boundary ring and the free nodes its
-        # interior, numbered row-major: the layer interior, then the interface
-        # row and the gap interior, whose block holds the dense layer correction
-        nr, nc = nz1 + nz2 + 1, nx + 1
-        self._gap_pattern = _gap_block_pattern(nz2, nc - 2)
-        self._layer_stencil = np.zeros((nr, nc, 3, 3))
+        # the pinned nodes are the grid's boundary ring and the free nodes its interior, numbered
+        # row-major: the layer interior, then the interface row and the gap interior, whose block
+        # holds the dense layer correction.  The layer stencil (node rows 0..n_z1) is never modified
+        self._gap_pattern = _gap_block_pattern(nz2, nx - 1)
+        self._layer_stencil = np.zeros((nz1 + 1, nx + 1, 3, 3))
         _add_elements(self._layer_stencil, self._assemble_layer())
+        self._layer_stencil.flags.writeable = False
         self._layer_rows = self._layer_stencil[1:nz1, 1:-1]
 
         # packed gap element matrix per unit coefficient gamma, -eta gamma' and
@@ -476,33 +500,35 @@ class FieldSolver:
             return np.broadcast_to(elem[_UPPER], shape)
         kxx_q = np.einsum("aq,bq->abq", _NXI, _NXI) / hx**2
         kzz_q = np.einsum("aq,bq->abq", _NZE, _NZE) / hz**2
-        vals = np.einsum("eq,abq,q->eab", self._sigma1_q, kxx_q + kzz_q, _W) * (hx * hz)
+        vals = np.einsum("qe,abq,q->eab", self._sigma1_q.reshape(4, -1), kxx_q + kzz_q, _W) * (hx * hz)
         return vals[:, _UPPER[0], _UPPER[1]].reshape(shape)
 
-    def _gap_coeffs(self, gm: GapMap):
-        """gamma and -eta gamma' at the Gauss points of the gap elements, as [jz, kx, qz, qx]."""
-        g4 = np.broadcast_to(gm.gamma_q[None, :, None, :], (self.grid.n_z2, self.grid.n_x, 2, 2))
-        b4 = -self._etaq[:, None, :, None] * gm.dgamma_q[None, :, None, :]
-        return g4, b4
-
-    def _assemble_gap(self, gm: GapMap) -> np.ndarray:
-        """Packed element matrices of the gap block of one state, (n_z2, n_x, 10)."""
+    def _assemble_gap(self, gm: GapMap):
+        """The gap's packed element matrices of one state, sum_t f[jz, t] tables[kx, t], as (tables, f)."""
         # gamma, gamma' vary along x only and eta along z only; with
         # (1 + (eta gamma')^2) / gamma = 1 / gamma + eta^2 gamma'^2 / gamma an
         # element matrix is a per-column table plus eta and eta^2 times
         # per-column tables, summed over the vertical Gauss points
         g, dg = gm.gamma_q, gm.dgamma_q                                # [kx, qx]
         kg, kb, kc = self._gap_kernel                                  # [qz, qx, entry]
-        ke = g @ kg.sum(axis=0) + (1.0 / g) @ kc.sum(axis=0)          # [kx, entry]
-        for qz in range(2):
-            eta = self._etaq[:, qz, None, None]                        # [jz]
-            ke = ke + eta * (-dg @ kb[qz]) + eta**2 * ((dg**2 / g) @ kc[qz])
-        return ke
+        eta = self._etaq                                               # [jz, qz]
+        # per-column tables for 1 (two terms), eta and eta^2 at each vertical Gauss point, by einsum: no BLAS
+        coef = np.stack([g, 1.0 / g, -dg, dg**2 / g, -dg, dg**2 / g])                 # [term, kx, qx]
+        kern = np.stack([kg.sum(axis=0), kc.sum(axis=0), kb[0], kc[0], kb[1], kc[1]])  # [term, qx, entry]
+        tables = np.einsum("tkq,tqe->kte", coef, kern)
+        f = np.stack([np.ones(len(eta)), eta[:, 0], eta[:, 0] ** 2, eta[:, 1], eta[:, 1] ** 2], axis=1)
+        return np.concatenate([tables[:, :1] + tables[:, 1:2], tables[:, 2:]], axis=1), f
 
-    def _stencil(self, gm: GapMap) -> np.ndarray:
-        """The nine-point stencil of the transmission operator on all nodes for one gap geometry."""
-        stencil = self._layer_stencil.copy()
-        _add_elements(stencil[self.grid.n_z1:], self._assemble_gap(gm))
+    def _gap_stencil(self, gm: GapMap) -> np.ndarray:
+        """The nine-point stencil on the interface row and the gap rows above it, for one gap geometry."""
+        # one element row's tables on its lower and upper node row, taken by node row r with f of rows r, r - 1
+        tables, f = self._assemble_gap(gm)
+        rows = np.zeros((2, 5, self.x.size, 3, 3))
+        _add_elements(rows.transpose(0, 2, 1, 3, 4), tables[None])
+        weights = np.zeros((self.grid.n_z2 + 1, 2, 5))
+        weights[:-1, 0] = weights[1:, 1] = f
+        stencil = np.einsum("rt,tcij->rcij", weights.reshape(-1, 10), rows.reshape(10, -1, 3, 3))
+        stencil[0] += self._layer_stencil[-1]
         return stencil
 
     # -- per-state geometry -------------------------------------------------
@@ -536,19 +562,24 @@ class FieldSolver:
         vals[-1] = f.h2(self.x, w, w)  # plate row
         return vals
 
+    def _apply_free(self, gap: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """The free system's stencil rows applied to a node grid: the layer's, then the interface and gap rows'."""
+        nl = self.grid.n_z1 - 1
+        return np.concatenate([_apply(self._layer_rows, nodes[:nl + 2]).ravel(), _apply(gap, nodes[nl:]).ravel()])
+
     def _free_system(self, gm: GapMap):
-        """The free nodes' stencil rows, their right-hand side, and the node grid holding the pinned values."""
-        inner = self._stencil(gm)[1:-1, 1:-1]
+        """The interface and gap rows' stencil, the free system's right-hand side, and the pinned node grid."""
+        gap = self._gap_stencil(gm)[:-1, 1:-1]
         nodes = self._dirichlet(gm)
         # the load of the pinned neighbors
-        return inner, -_apply(inner, nodes).ravel(), nodes
+        return gap, -self._apply_free(gap, nodes), nodes
 
-    def _condensed_system(self, inner: np.ndarray, rhs: np.ndarray, layer: _Layer):
+    def _condensed_system(self, gap: np.ndarray, rhs: np.ndarray, layer: _Layer):
         """The interface-plus-gap block with the layer eliminated, and its right-hand side."""
         keep, indices, indptr, nine, dense = self._gap_pattern
         nl, nj = self.grid.n_z1 - 1, self.grid.n_x - 1
         data = np.zeros(indices.size)
-        data[nine] = inner[nl:][keep]
+        data[nine] = gap[keep]
         data[dense] -= layer.correction.ravel()
         rhs_c = rhs[nl * nj:].copy()
         rhs_c[:nj] -= layer.load(rhs[:nl * nj])
@@ -574,21 +605,21 @@ class FieldSolver:
         if self.grid.n_x % u.grid.n_elems != 0:
             raise ValueError("field n_x must be a multiple of the plate element count")
         gm = self.gap_map(u)
-        inner, rhs, nodes = self._free_system(gm)
+        gap, rhs, nodes = self._free_system(gm)
         rhs_norm = _norm(rhs)
         cg_iterations = 0
         if rhs_norm == 0.0:
             res = 0.0
         else:
             layer = _condensed_layer(self._layer_rows)
-            S, rhs_c = self._condensed_system(inner, rhs, layer)
+            S, rhs_c = self._condensed_system(gap, rhs, layer)
             nl, nj = self.grid.n_z1 - 1, self.grid.n_x - 1
 
             def residual(x):
                 """Write x and the layer values it implies into nodes; ||A x - b|| of the free system."""
                 nodes[nl + 1:-1, 1:-1] = x.reshape(-1, nj)
                 nodes[1:nl + 1, 1:-1] = layer.recover(rhs[:nl * nj], x[:nj]).reshape(nl, nj)
-                return _norm(_apply(inner, nodes).ravel())
+                return _norm(self._apply_free(gap, nodes))
 
             res = None
             if factor is not None:
@@ -599,7 +630,6 @@ class FieldSolver:
                 if not converged or not res <= self.tol_lin * rhs_norm:
                     res = None
             if res is None:
-                gap = inner[nl:]
                 if layer.sine is not None and _x_invariant(gap):
                     factor = _SineSolver(gap[:, 0], layer.sine)
                 else:
@@ -627,35 +657,42 @@ class FieldSolver:
             top_trace_dz=dtop,
             bottom_trace_dz1=d1,
             boundary_inf=float(ring.min()), boundary_sup=float(ring.max()),
-            residual=res, cg_iterations=cg_iterations, factor=factor,
+            gap_moments=self._gap_moments(psi2), residual=res, cg_iterations=cg_iterations, factor=factor,
         )
 
     # -- energies --------------------------------------------------------------
 
-    def form_value(self, psi1: np.ndarray, psi2: np.ndarray, gm: GapMap) -> float:
-        """Dirichlet form  int sigma |grad psi|^2  with the assembly quadrature."""
+    def _gap_moments(self, psi2: np.ndarray) -> np.ndarray:
+        """Quadrature sums down the gap at each x Gauss point, (4, n_x, 2): of px^2, eta px pe, pe^2 and eta^2 pe^2.
+
+        px, pe are d/dx, d/deta of psi2 at the Gauss points.  gamma and gamma'
+        vary along x only, so the gap's form (``form_value``) and shape gradient are sums of these.
+        """
+        px, pe = _gauss_gradients(psi2, self.hx, self.heta)   # [qz, jz, kx], [qx, jz, kx]
+        weta = self._etaq * _GW                                 # [jz, qz]
+        return np.stack([
+            np.einsum("z,zjk,zjk->k", _GW, px, px)[:, None] * _GW,
+            np.einsum("jk,xjk->kx", np.einsum("jz,zjk->jk", weta, px), pe) * _GW,
+            np.einsum("xjk,xjk->kx", pe, pe) * (_GW.sum() * _GW),
+            np.einsum("j,xjk,xjk->kx", np.einsum("jz,jz->j", weta, self._etaq), pe, pe) * _GW,
+        ])
+
+    def form_value(self, psi1: np.ndarray, psi2: np.ndarray, gm: GapMap, moments: np.ndarray = None) -> float:
+        """Dirichlet form  int sigma |grad psi|^2  with the assembly quadrature; ``moments`` are psi2's."""
         # gradients before squares: psi^T A psi through the CSR operator cancels its
         # large row entries and loses about three more digits
-        p, hx, hz, he = self.p, self.hx, self.hz1, self.heta
-
-        # layer
-        e1 = _corners(psi1)                                    # (ne, 4)
-        gx = e1 @ _NXI / hx                                    # (ne, 4 gauss)
-        gz = e1 @ _NZE / hz
-        total = float(np.sum(self._sigma1_q * (gx**2 + gz**2) * _W) * hx * hz)
-
-        # gap
-        g4, b4 = (a.reshape(-1, 4) for a in self._gap_coeffs(gm))
-        e2 = _corners(psi2)
-        gx = e2 @ _NXI / hx
-        ge = e2 @ _NZE / he
-        dens = g4 * gx**2 + 2.0 * b4 * gx * ge + (1.0 + b4**2) / g4 * ge**2
-        total += float(p.sigma2 * np.sum(dens * _W) * hx * he)
-        return total
+        hx, hz = self.hx, self.hz1
+        gx, gz = _gauss_gradients(psi1, hx, hz)                 # [qz, jz, kx], [qx, jz, kx]
+        s = self._sigma1_q * _W.reshape(2, 2, 1, 1)
+        total = np.sum(np.einsum("zxjk,zjk,zjk->k", s, gx, gx) + np.einsum("zxjk,xjk,xjk->k", s, gz, gz)) * hx * hz
+        g, dg = gm.gamma_q, gm.dgamma_q
+        mxx, mxe, mee, mee2 = self._gap_moments(psi2) if moments is None else moments
+        gap = np.sum(g * mxx - 2.0 * dg * mxe + (mee + dg**2 * mee2) / g)
+        return float(total + self.p.sigma2 * gap * hx * self.heta)
 
     def electrostatic_energy(self, pf: PotentialField) -> float:
         """E_e = -(1/2) int sigma |grad psi|^2 over the actual device domain."""
-        return -0.5 * self.form_value(pf.psi1, pf.psi2, pf.gap)
+        return -0.5 * self.form_value(pf.psi1, pf.psi2, pf.gap, pf.gap_moments)
 
     def shape_gradient_load(self, pf: PotentialField, u: PlateState) -> np.ndarray:
         """Exact gradient of the discrete field energy w.r.t. the plate DOFs.
@@ -670,27 +707,19 @@ class FieldSolver:
         where the trace-formula force is consistent only to the order of the
         scheme.
         """
-        p, hx, he = self.p, self.hx, self.heta
-        nz2, nx = self.grid.n_z2, self.grid.n_x
-        grad = np.zeros(u.grid.n_dofs)
         gm = pf.gap
-        g4, b4 = self._gap_coeffs(gm)
-
-        e2 = _corners(pf.psi2)
-        px = (e2 @ _NXI / hx).reshape(nz2, nx, 2, 2)              # [jz, kx, qz, qx]
-        pe = (e2 @ _NZE / he).reshape(nz2, nx, 2, 2)
-        dI_dg = px**2 - (1.0 + b4**2) / g4**2 * pe**2
-        dI_db = 2.0 * px * pe + 2.0 * b4 / g4 * pe**2
-        W4 = _W.reshape(2, 2)[None, None, :, :]
-        fac = -0.5 * p.sigma2 * hx * he
-        # accumulate the vertical direction; leaves weights per x Gauss point
-        Wg = fac * np.sum(dI_dg * W4, axis=(0, 2))                                       # (nx, 2)
-        Wb = fac * np.sum(dI_db * -self._etaq[:, None, :, None] * W4, axis=(0, 2))
+        g, dg = gm.gamma_q, gm.dgamma_q
+        mxx, mxe, mee, mee2 = pf.gap_moments
+        # the gap form's derivatives in gamma and gamma' per x Gauss point
+        fac = -0.5 * self.p.sigma2 * self.hx * self.heta
+        Wg = fac * (mxx - (mee + dg**2 * mee2) / g**2)
+        Wb = 2.0 * fac * (dg / g * mee2 - mxe)
         # chain rule through the floor, gamma = w(u) + H and gamma' = w'(u) u'; above
         # the floor's band w' = 1, w'' = 0 and both weights keep their bits
         Wg, Wb = Wg * gm.dw_q + Wb * (gm.d2w_q * gm.du_q), Wb * gm.dw_q
 
         # scatter onto the Hermite plate basis at the x Gauss points
+        grad = np.zeros(u.grid.n_dofs)
         e_p, xi = u.grid.locate(self._xq.ravel())
         N0 = shape_functions(xi, u.grid.h, 0)
         N1 = shape_functions(xi, u.grid.h, 1)

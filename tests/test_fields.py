@@ -28,9 +28,14 @@ def node_numbers(solver):
     return np.arange((g.n_z1 + g.n_z2 + 1) * (g.n_x + 1)).reshape(g.n_z1 + g.n_z2 + 1, g.n_x + 1)
 
 
+def all_node_stencil(solver, gm):
+    """The solver's nine-point stencil on every node: its layer rows, then the interface and gap rows of one state."""
+    return np.concatenate([solver._layer_stencil[:-1], solver._gap_stencil(gm)])
+
+
 def all_node_operator(solver, gm):
     """The transmission operator on every node, built from the solver's nine-point stencil."""
-    stencil = solver._stencil(gm)
+    stencil = all_node_stencil(solver, gm)
     keep, indices, indptr = _nine_point_pattern(*stencil.shape[:2])
     n = indptr.size - 1
     return sp.csr_matrix((stencil[keep], indices, indptr), shape=(n, n))
@@ -38,7 +43,8 @@ def all_node_operator(solver, gm):
 
 def free_block(solver, gm):
     """The whole free system as the solver sets it up: CSR block of its stencil rows, right-hand side, pinned grid."""
-    inner, rhs, nodes = solver._free_system(gm)
+    _, rhs, nodes = solver._free_system(gm)
+    inner = all_node_stencil(solver, gm)[1:-1, 1:-1]
     keep, indices, indptr = _nine_point_pattern(*inner.shape[:2])
     n = indptr.size - 1
     return sp.csr_matrix((inner[keep], indices, indptr), shape=(n, n)), rhs, nodes
@@ -46,8 +52,8 @@ def free_block(solver, gm):
 
 def condensed_block(solver, gm):
     """The solver's interface-plus-gap block with the layer eliminated, and its right-hand side."""
-    inner, rhs, _ = solver._free_system(gm)
-    return solver._condensed_system(inner, rhs, memsplate.fields._condensed_layer(solver._layer_rows))
+    gap, rhs, _ = solver._free_system(gm)
+    return solver._condensed_system(gap, rhs, memsplate.fields._condensed_layer(solver._layer_rows))
 
 
 def schur_reference(Aff, rhs, n_layer):
@@ -307,7 +313,7 @@ def coo_reference_operator(solver, gm):
     kxx_q = np.einsum("aq,bq->abq", _NXI, _NXI)
     kzz_q = np.einsum("aq,bq->abq", _NZE, _NZE)
     kxz_q = np.einsum("aq,bq->abq", _NXI, _NZE) + np.einsum("aq,bq->abq", _NZE, _NXI)
-    layer = np.einsum("eq,abq,q->eab", solver._sigma1_q, kxx_q / hx**2 + kzz_q / hz**2, _W) * (hx * hz)
+    layer = np.einsum("qe,abq,q->eab", solver._sigma1_q.reshape(4, -1), kxx_q / hx**2 + kzz_q / hz**2, _W) * (hx * hz)
     g = np.broadcast_to(gm.gamma_q[None, :, None, :], (nz2, solver.grid.n_x, 2, 2)).reshape(-1, 4)
     b = (-solver._etaq[:, None, :, None] * gm.dgamma_q[None, :, None, :]).reshape(-1, 4)
     gap = (np.einsum("eq,abq,q->eab", g, kxx_q / hx**2, _W)
@@ -516,6 +522,27 @@ def test_other_states_and_layers_are_factored_by_superlu(monkeypatch):
         assert factored == [8 * 15] and not isinstance(pf.factor, memsplate.fields._SineSolver)
 
 
+def test_a_layer_varying_in_x_is_factored_by_superlu(monkeypatch):
+    # a cold solve condenses the layer: by SuperLU when sigma1 varies in x,
+    # by the sine transform, without SuperLU, when it does not
+    real, factored = memsplate.fields.spla, []
+
+    class CountingLinalg:
+        def splu(self, A, *args, **kwargs):
+            factored.append(A.shape[0])
+            return real.splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(memsplate.fields, "spla", CountingLinalg())
+    flat = PlateState.zero(PlateGrid(16, 1.0))
+    for sigma1, superlu in ((lambda x, z: 1.0 + 0.3 * np.cos(x) + 0.0 * z, True), (z_varying_layer, False)):
+        monkeypatch.setattr(memsplate.fields, "_LAYER", None)
+        factored.clear()
+        p = PhysicalParams(V=2.0, sigma1=sigma1)
+        FieldSolver(p, build_canonical_boundary_data(PhysicalParams(V=2.0)), FieldGrid(16, 8, 8)).solve(flat)
+        assert (7 * 15 in factored) == superlu
+        assert isinstance(memsplate.fields._LAYER.lu, memsplate.fields._SineSolver) != superlu
+
+
 def test_a_wrong_sine_solve_raises(setup, monkeypatch):
     p, fam, grid, solver = setup
     monkeypatch.setattr(memsplate.fields._SineSolver, "solve", lambda self, b: np.zeros_like(b))
@@ -640,6 +667,37 @@ def test_layer_is_condensed_once_per_layer(monkeypatch):
     thickest = PhysicalParams(V=2.0, d=3.0)
     FieldSolver(thickest, build_canonical_boundary_data(thickest), FieldGrid(16, 8, 8))
     assert memsplate.fields._LAYER is again
+
+
+@pytest.mark.parametrize("fgrid", [FieldGrid(32, 16, 16), FieldGrid(27, 10, 8)], ids=["reduced", "odd"])
+@pytest.mark.parametrize("sigma1", [1.0, z_varying_layer], ids=["constant", "z-varying"])
+def test_sine_layer_matches_the_superlu_layer(fgrid, sigma1, monkeypatch, rng):
+    # an x-invariant layer is condensed by the sine transform; the SuperLU
+    # condensation of the same rows is the reference
+    p = PhysicalParams(V=2.0, sigma1=sigma1)
+    rows = FieldSolver(p, build_canonical_boundary_data(PhysicalParams(V=2.0)), fgrid)._layer_rows
+    sine = memsplate.fields._Layer.build(rows)
+    assert isinstance(sine.lu, memsplate.fields._SineSolver)
+    monkeypatch.setattr(memsplate.fields, "_x_invariant", lambda stencil: False)
+    ref = memsplate.fields._Layer.build(rows)
+    assert ref.sine is None and not isinstance(ref.lu, memsplate.fields._SineSolver)
+
+    def close(a, b):
+        return np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+    dst = memsplate.fields._dst
+    assert close(sine.correction, ref.correction)
+    assert np.array_equal(sine.correction, sine.correction.T)
+    assert close(sine.sine, np.diagonal(dst(dst(ref.correction).T)))
+    assert close(sine.edge_map, ref.edge_map)
+    nl, nj = rows.shape[:2]
+    b, x = rng.standard_normal(nl * nj), rng.standard_normal(nj)
+    assert close(sine.recover(b, x), ref.recover(b, x))
+    # a solve's b_L is nonzero only next to the pinned ring
+    b_edge = np.zeros((nl, nj))
+    b_edge[0] = rng.standard_normal(nj)
+    b_edge[:, 0], b_edge[:, -1] = rng.standard_normal(nl), rng.standard_normal(nl)
+    assert close(sine.load(b_edge.ravel()), ref.load(b_edge.ravel()))
 
 
 @pytest.mark.parametrize("state", ["contact-free", "contact"])
