@@ -269,7 +269,7 @@ class _Layer:
     A_IL A_LL^-1 b_L on I, and the layer values are A_LL^-1 (b_L - A_LI x_I).
     When sigma1 does not vary in x, A_LL is solved by the sine transform
     (``_SineSolver``) and the correction is c_m^2 [A_LL,m^-1]_last,last in sine
-    mode m, c_m the last layer row's coupling to I: a 0.5 ms build on the
+    mode m, c_m the last layer row's coupling to I: a 3 ms build on the
     default grid, against about 84 ms for SuperLU, which factors any other layer.
     """
 
@@ -424,7 +424,7 @@ class FieldSolver:
     nine-point stencil.  The pinned nodes are the grid's boundary ring
     (electrode, side walls, plate), so the unknowns are its interior.  The
     layer interior does not move with the plate: it is eliminated onto the
-    interface row once per layer (``_Layer``; 0.5 ms on the default grid by
+    interface row once per layer (``_Layer``; about 3 ms on the default grid by
     the sine transform when sigma1 does not vary in x, about 84 ms by SuperLU
     otherwise), and a solve factors or iterates on the gap-plus-interface
     block alone, then recovers the layer values with one layer solve.  The
