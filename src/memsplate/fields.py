@@ -84,7 +84,7 @@ def _floored(u: np.ndarray, floor: float, band: float):
 def _q1_tables():
     """Q1 shape derivatives and the weights at the 4 Gauss points of the unit square.
 
-    Returns (Nxi, Nze, W) with shape (4, 4): basis index x point index;
+    Returns Nxi, Nze (4, 4), basis index x point index, and W (4,);
     point q = 2*qz + qx pairs the x-point qx with the vertical point qz.
     """
     xi = np.tile(_GP, 2)
@@ -679,8 +679,8 @@ class FieldSolver:
 
     def form_value(self, psi1: np.ndarray, psi2: np.ndarray, gm: GapMap, moments: np.ndarray = None) -> float:
         """Dirichlet form  int sigma |grad psi|^2  with the assembly quadrature; ``moments`` are psi2's."""
-        # gradients before squares: psi^T A psi through the CSR operator cancels its
-        # large row entries and loses about three more digits
+        # gradients before squares (psi^T A psi through the CSR operator loses about three more digits),
+        # summed per column first: one running sum of all the layer's terms rounds E_e visibly coarser
         hx, hz = self.hx, self.hz1
         gx, gz = _gauss_gradients(psi1, hx, hz)                 # [qz, jz, kx], [qx, jz, kx]
         s = self._sigma1_q * _W.reshape(2, 2, 1, 1)
