@@ -19,7 +19,10 @@ once per layer and process, by the sine transform along x when sigma1 does not
 vary in x and by SuperLU otherwise (``_Layer``), so each solve assembles, and
 factors or iterates on, the interface row and the gap interior alone.  A flat
 gap over such a layer makes that block the same in every column; the sine
-transform then solves it without a factorization (``_SineSolver``).
+transform then solves it without a factorization or a CSR (``_SineSolver``).
+What a solve needs of the grid alone is built once, kept process-wide and read
+only: the plate's shapes at the field's points (``_PLATE_AT``) and the block's
+CSR pattern.  Only the free nodes next to the pinned ring carry a load.
 The iteration is an in-module preconditioned CG (``_pcg``); it, the sine
 solver and the residual check sum their dot products with numpy's own loops
 and never call BLAS, so a solve does not wake numpy's BLAS thread pool.
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,7 +49,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .errors import LinearSolveFailed
-from .hermite import PlateState, shape_functions
+from .hermite import PlateState, _read_only
 from .params import BoundaryDataFamily, PhysicalParams
 
 __all__ = [
@@ -73,6 +77,8 @@ def _floored(u: np.ndarray, floor: float, band: float):
     w = u bit for bit at and above floor + band, floor at and below floor - band,
     and between the quartic floor + band (s + 1)^3 (3 - s) / 16, s = (u - floor) / band.
     """
+    if u.min() >= floor + band:  # every point above the band: the bits the blend below gives there
+        return u, np.ones_like(u), np.zeros_like(u)
     s = np.clip((u - floor) / band, -1.0, 1.0)
     above = u >= floor + band
     w = np.where(above, u, floor + band * (s + 1.0) ** 3 * (3.0 - s) / 16.0)
@@ -138,12 +144,13 @@ def _nine_point_pattern(nr: int, nc: int):
     return keep, indices, indptr
 
 
+@lru_cache(maxsize=1)
 def _gap_block_pattern(nr: int, nc: int):
     """CSR pattern of a nine-point stencil on an nr x nc grid plus a dense block on its first row.
 
-    Returns (keep, indices, indptr, nine, dense): ``keep`` as in
-    ``_nine_point_pattern``, and where the pattern holds the stencil's entries
-    (in ``keep`` order) and the dense block's (row-major).
+    Returns (indices, indptr, nine, dense, src), read-only and kept for the latest grid: where the pattern
+    holds the first row's stencil entries and the dense block's (row-major), and where each stencil entry
+    (``keep`` order of ``_nine_point_pattern``, as the later rows fill the tail) is in an (nr+1, nc+2) stencil.
     """
     keep, indices, indptr = _nine_point_pattern(nr, nc)
     head = indptr[nc]  # the first row's stencil entries
@@ -157,14 +164,10 @@ def _gap_block_pattern(nr: int, nc: int):
     first = np.empty(ptr[-1], np.int32)
     first[dense] = np.tile(c, nc)
     first[nine] = cols
+    src = np.arange((nr + 1) * (nc + 2) * 9).reshape(nr + 1, nc + 2, 3, 3)[:-1, 1:-1][keep]
     shift = ptr[-1] - head  # the later rows keep their stencil entries, moved by this
-    return (
-        keep,
-        np.concatenate([first, indices[head:]]),
-        np.concatenate([ptr[:-1], indptr[nc:] + shift]).astype(np.int32),
-        np.concatenate([nine, np.arange(head, indices.size) + shift]),
-        dense,
-    )
+    indices, indptr = np.concatenate([first, indices[head:]]), np.concatenate([ptr[:-1], indptr[nc:] + shift])
+    return tuple(map(_read_only, (indices, indptr.astype(np.int32), nine, dense, src)))
 
 
 def _apply(inner: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -175,6 +178,16 @@ def _apply(inner: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         for dx in range(3):
             out += inner[:, :, dz, dx] * nodes[dz:dz + ni, dx:dx + nj]
     return out
+
+
+def _ring_load(inner: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """-_apply(inner, nodes) of nodes zero inside their ring, summed next to it: elsewhere both read -0.0."""
+    out, (ni, nj) = np.zeros(inner.shape[:2]), inner.shape[:2]
+    for i in (0, ni - 1):
+        out[i] = _apply(inner[i:i + 1], nodes[i:i + 3])[0]
+    for j in (0, nj - 1):
+        out[:, j] = _apply(inner[:, j:j + 1], nodes[:, j:j + 3])[:, 0]
+    return -out
 
 
 def _factor(A: sp.csr_matrix):
@@ -331,6 +344,8 @@ class _Layer:
 # and a solve keeps the one it read: threads that miss together each build an equal one.
 _LAYER = None
 _LAYER_SEEN = (None, None)
+# FieldSolver._plate_at's tables, keyed on the plate grid and the field's columns; only the latest is kept
+_PLATE_AT = (None, None)
 
 
 def _condensed_layer(rows: np.ndarray) -> _Layer:
@@ -427,16 +442,17 @@ class FieldSolver:
     interface row once per layer (``_Layer``; about 3 ms on the default grid by
     the sine transform when sigma1 does not vary in x, about 84 ms by SuperLU
     otherwise), and a solve factors or iterates on the gap-plus-interface
-    block alone, then recovers the layer values with one layer solve.  The
-    layer stencil and the CSR pattern of the condensed block are built once
-    per (params, grid); per state only the interface and gap rows are
-    assembled.
+    block alone, then recovers the layer values with one layer solve.  Per
+    state only the interface and gap rows are assembled, and the load is
+    summed on the free nodes next to the ring alone (``_ring_load``).
 
-    The instance holds only this state-independent structure and no method
+    The instance holds only state-independent structure and no method
     modifies it: every per-state quantity lives in the returned GapMap and
-    PotentialField.  The layer condensation is kept process-wide, keyed on
-    the layer stencil, so every solver of the same layer (a sweep's points,
-    repeated solves) shares it; only the most recent one is kept.
+    PotentialField.  The layer condensation (keyed on the layer stencil), the
+    condensed block's CSR pattern and the plate's shapes at the field's
+    points (keyed on grid sizes) are kept process-wide, read-only, so every
+    solver of one device (a sweep's points, repeated solves) shares them;
+    only the most recent of each is kept.
     """
 
     def __init__(
@@ -534,22 +550,31 @@ class FieldSolver:
     # -- per-state geometry -------------------------------------------------
 
     def gap_map(self, u: PlateState) -> GapMap:
-        """Floored plate height and gap coefficients of one state, computed once for all uses."""
+        """Floored plate height and gap coefficients of one state, computed once for all uses from tabulated shapes."""
         p = self.p
         if u.values.min() < -p.H - 1e-12 * max(1.0, p.H):
             raise ValueError("plate state is infeasible: u < -H at a node")
         eps = contact_threshold(u.grid.h, p.H)
-        ux = u(self.x)
+        x, dx, xq, dxq = self._plate_at(u.grid)
+        ux = u.at(*x)
         if not np.all(np.isfinite(ux)):
             raise ValueError("non-finite gap heights")
         w, dw, _ = _floored(ux, eps - p.H, eps)
-        xq = self._xq.ravel()
-        wq, dwq, d2wq = _floored(u(xq).reshape(-1, 2), eps - p.H, eps)
-        duq = u(xq, deriv=1).reshape(-1, 2)
+        wq, dwq, d2wq = _floored(u.at(*xq).reshape(-1, 2), eps - p.H, eps)
+        duq = u.at(*dxq).reshape(-1, 2)
         return GapMap(
-            self.x.copy(), w, w + p.H, dw * u(self.x, deriv=1), ux + p.H <= eps, eps,
+            self.x.copy(), w, w + p.H, dw * u.at(*dx), ux + p.H <= eps, eps,
             wq + p.H, dwq * duq, duq, dwq, d2wq,
         )
+
+    def _plate_at(self, plate):
+        """``plate.shapes_at`` the columns and the x Gauss points, values then slopes, kept in ``_PLATE_AT``."""
+        global _PLATE_AT
+        key, tables = _PLATE_AT
+        if key != (plate, self.x.size, self.p.L):
+            tables = [tuple(map(_read_only, plate.shapes_at(x, d))) for x in (self.x, self._xq.ravel()) for d in (0, 1)]
+            _PLATE_AT = ((plate, self.x.size, self.p.L), tables)
+        return tables
 
     def _dirichlet(self, gm: GapMap) -> np.ndarray:
         """The node grid holding the pinned values on its boundary ring and zeros inside."""
@@ -568,23 +593,23 @@ class FieldSolver:
         return np.concatenate([_apply(self._layer_rows, nodes[:nl + 2]).ravel(), _apply(gap, nodes[nl:]).ravel()])
 
     def _free_system(self, gm: GapMap):
-        """The interface and gap rows' stencil, the free system's right-hand side, and the pinned node grid."""
-        gap = self._gap_stencil(gm)[:-1, 1:-1]
-        nodes = self._dirichlet(gm)
-        # the load of the pinned neighbors
-        return gap, -self._apply_free(gap, nodes), nodes
+        """The interface and gap rows' stencil on every column, the free system's right-hand side, the pinned grid."""
+        stencil, nodes, nl = self._gap_stencil(gm), self._dirichlet(gm), self.grid.n_z1 - 1
+        layer, gap = _ring_load(self._layer_rows, nodes[:nl + 2]), _ring_load(stencil[:-1, 1:-1], nodes[nl:])
+        return stencil, np.concatenate([layer.ravel(), gap.ravel()]), nodes
 
-    def _condensed_system(self, gap: np.ndarray, rhs: np.ndarray, layer: _Layer):
-        """The interface-plus-gap block with the layer eliminated, and its right-hand side."""
-        keep, indices, indptr, nine, dense = self._gap_pattern
-        nl, nj = self.grid.n_z1 - 1, self.grid.n_x - 1
-        data = np.zeros(indices.size)
-        data[nine] = gap[keep]
+    def _condensed_system(self, stencil: np.ndarray, layer: _Layer) -> sp.csr_matrix:
+        """The interface-plus-gap block with the layer eliminated, as CSR: every row after the interface row is
+        one contiguous block of ``data``, gathered in place, and only the interface row is scattered and corrected.
+        """
+        indices, indptr, nine, dense, src = self._gap_pattern
+        first, n = indptr[self.grid.n_x - 1], indptr.size - 1
+        data, flat = np.empty(indices.size), stencil.ravel()
+        data[:first] = 0.0
+        data[nine] = flat[src[:nine.size]]
         data[dense] -= layer.correction.ravel()
-        rhs_c = rhs[nl * nj:].copy()
-        rhs_c[:nj] -= layer.load(rhs[:nl * nj])
-        n = rhs_c.size
-        return sp.csr_matrix((data, indices, indptr), shape=(n, n)), rhs_c
+        np.take(flat, src[nine.size:], out=data[first:], mode="clip")
+        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
     # -- solve ---------------------------------------------------------------
 
@@ -605,15 +630,17 @@ class FieldSolver:
         if self.grid.n_x % u.grid.n_elems != 0:
             raise ValueError("field n_x must be a multiple of the plate element count")
         gm = self.gap_map(u)
-        gap, rhs, nodes = self._free_system(gm)
+        stencil, rhs, nodes = self._free_system(gm)
+        gap = stencil[:-1, 1:-1]
         rhs_norm = _norm(rhs)
         cg_iterations = 0
         if rhs_norm == 0.0:
             res = 0.0
         else:
             layer = _condensed_layer(self._layer_rows)
-            S, rhs_c = self._condensed_system(gap, rhs, layer)
             nl, nj = self.grid.n_z1 - 1, self.grid.n_x - 1
+            S, rhs_c = None, rhs[nl * nj:].copy()
+            rhs_c[:nj] -= layer.load(rhs[:nl * nj])
 
             def residual(x):
                 """Write x and the layer values it implies into nodes; ||A x - b|| of the free system."""
@@ -623,6 +650,7 @@ class FieldSolver:
 
             res = None
             if factor is not None:
+                S = self._condensed_system(stencil, layer)
                 # the same absolute tolerance as on the whole free system: the
                 # condensed residual is its residual once the layer is recovered
                 x, cg_iterations, converged = _pcg(S, rhs_c, factor, self.tol_lin * rhs_norm, _PCG_MAXIT)
@@ -633,7 +661,7 @@ class FieldSolver:
                 if layer.sine is not None and _x_invariant(gap):
                     factor = _SineSolver(gap[:, 0], layer.sine)
                 else:
-                    factor = _factor(S)
+                    factor = _factor(self._condensed_system(stencil, layer) if S is None else S)
                 res = residual(factor.solve(rhs_c))
             if not np.isfinite(res) or res > max(10.0 * self.tol_lin, 1e-8) * rhs_norm:
                 raise LinearSolveFailed(f"linear solve residual {res:.3e} vs rhs {rhs_norm:.3e}")
@@ -719,14 +747,10 @@ class FieldSolver:
         Wg, Wb = Wg * gm.dw_q + Wb * (gm.d2w_q * gm.du_q), Wb * gm.dw_q
 
         # scatter onto the Hermite plate basis at the x Gauss points
-        grad = np.zeros(u.grid.n_dofs)
-        e_p, xi = u.grid.locate(self._xq.ravel())
-        N0 = shape_functions(xi, u.grid.h, 0)
-        N1 = shape_functions(xi, u.grid.h, 1)
-        # conn[e_p].T adds shape by shape over all Gauss points; np.add.at keeps that
-        # order, and with it the last bits of grad
-        np.add.at(grad, u.grid.conn[e_p].T, N0 * Wg.ravel() + N1 * Wb.ravel())
-        return grad
+        _, _, (dofs, N0), (_, N1) = self._plate_at(u.grid)
+        # shape by shape over all Gauss points, each added in turn, as np.add.at
+        # would: that order keeps the last bits of grad
+        return np.bincount(dofs.ravel(), (N0 * Wg.ravel() + N1 * Wb.ravel()).ravel(), u.grid.n_dofs)
 
     def boundary_data_energy(self, gm: GapMap) -> float:
         """Dirichlet form of the interpolated boundary data h_u (an upper bound witness).

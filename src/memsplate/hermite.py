@@ -11,6 +11,7 @@ representable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,6 +30,8 @@ __all__ = [
     "gauss_rule",
 ]
 
+# a read-only view, for the tables kept per grid and shared by every caller and thread
+_read_only = partial(np.lib.stride_tricks.as_strided, writeable=False)
 # Nodes/weights of Gauss-Legendre rules on [0, 1], by point count.
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -114,15 +117,24 @@ class PlateGrid:
         return np.linspace(self.x_left, self.x_right, self.n_nodes)
 
     @property
+    @lru_cache(maxsize=1)
     def conn(self) -> np.ndarray:
-        """(n_elems, 4) DOF indices ``[v_e, s_e, v_e+1, s_e+1]`` of every element."""
-        return 2 * np.arange(self.n_elems)[:, None] + np.arange(4)
+        """(n_elems, 4) DOF indices ``[v_e, s_e, v_e+1, s_e+1]`` of every element, read-only, kept process-wide."""
+        return _read_only(2 * np.arange(self.n_elems)[:, None] + np.arange(4))
 
     def scatter(self, elem_vals: np.ndarray) -> np.ndarray:
         """Sum per-element 4-vectors (n_elems, 4) into a global DOF vector, in element order."""
-        out = np.zeros(self.n_dofs)
-        np.add.at(out, self.conn, elem_vals)
-        return out
+        return np.bincount(self.conn.ravel(), elem_vals.ravel(), self.n_dofs)
+
+    @lru_cache(maxsize=3)
+    def gauss_shapes(self, n: int, deriv: int = 0) -> np.ndarray:
+        """Hermite shapes (4, n) at the n-point Gauss rule, read-only; the latest three, one grid's, are kept."""
+        return _read_only(shape_functions(gauss_rule(n)[0], self.h, deriv))
+
+    def shapes_at(self, x: np.ndarray, deriv: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Element DOF indices and Hermite shapes (4, ...) at physical points x, for ``PlateState.at``."""
+        e, xi = self.locate(np.atleast_1d(np.asarray(x, dtype=float)))
+        return np.add.outer(np.arange(4), 2 * e), shape_functions(xi, self.h, deriv)
 
     def locate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Element index and local coordinate for physical points x."""
@@ -182,12 +194,13 @@ class PlateState:
 
     def __call__(self, x: np.ndarray, deriv: int = 0) -> np.ndarray:
         """Evaluate u (or a derivative) at arbitrary points."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        e, xi = self.grid.locate(x)
-        N = shape_functions(xi, self.grid.h, deriv)  # (4, npts)
-        out = np.zeros_like(x)
+        return self.at(*self.grid.shapes_at(x, deriv))
+
+    def at(self, elem_dofs: np.ndarray, N: np.ndarray) -> np.ndarray:
+        """u at points tabulated by ``PlateGrid.shapes_at``: their element DOFs and shapes, summed shape by shape."""
+        out = np.zeros(N.shape[1:])
         for j in range(4):
-            out += N[j] * self.dofs[2 * e + j]
+            out += N[j] * self.dofs[elem_dofs[j]]
         return out
 
     def is_feasible(self, H: float, tol: float = 0.0) -> bool:
@@ -195,7 +208,10 @@ class PlateState:
 
     def local(self, xi: np.ndarray, deriv: int = 0) -> np.ndarray:
         """u (or a derivative) at local points xi of every element, shape (n_elems, len(xi))."""
-        N = shape_functions(xi, self.grid.h, deriv)
+        return self.at_local(shape_functions(xi, self.grid.h, deriv))
+
+    def at_local(self, N: np.ndarray) -> np.ndarray:
+        """u at the local points of every element where the Hermite shapes are N (4, n), shape (n_elems, n)."""
         loc = self.dofs[self.grid.conn]
         # batched N.T @ loc rounds like the per-element product; loc @ N and einsum do not
         return (N.T[None] @ loc[:, :, None])[..., 0]
@@ -251,8 +267,8 @@ def unit_energy_diagonal(grid: PlateGrid) -> np.ndarray:
 
 def mechanical_energy(u: PlateState, beta: float, tau: float) -> float:
     """(beta/2)||u''||^2 + (tau/2)||u'||^2 by exact elementwise quadrature."""
-    xi, w = gauss_rule(4)
-    du, d2u = u.local(xi, 1), u.local(xi, 2)
+    w = gauss_rule(4)[1]
+    du, d2u = (u.at_local(u.grid.gauss_shapes(4, d)) for d in (1, 2))
     per_elem = u.grid.h * np.sum(w * (0.5 * beta * d2u**2 + 0.5 * tau * du**2), axis=1)
     # accumulate keeps the element-by-element order of the sum; np.sum would pair terms
     return float(np.add.accumulate(per_elem)[-1])

@@ -20,6 +20,7 @@ from memsplate import (
 )
 from memsplate.errors import LinearSolveFailed
 from memsplate.fields import _NXI, _NZE, _W, _nine_point_pattern
+from memsplate.hermite import shape_functions
 
 
 def node_numbers(solver):
@@ -52,8 +53,12 @@ def free_block(solver, gm):
 
 def condensed_block(solver, gm):
     """The solver's interface-plus-gap block with the layer eliminated, and its right-hand side."""
-    gap, rhs, _ = solver._free_system(gm)
-    return solver._condensed_system(gap, rhs, memsplate.fields._condensed_layer(solver._layer_rows))
+    stencil, rhs, _ = solver._free_system(gm)
+    layer = memsplate.fields._condensed_layer(solver._layer_rows)
+    n_layer = (solver.grid.n_z1 - 1) * (solver.grid.n_x - 1)
+    rhs_c = rhs[n_layer:].copy()
+    rhs_c[:solver.grid.n_x - 1] -= layer.load(rhs[:n_layer])
+    return solver._condensed_system(stencil, layer), rhs_c
 
 
 def schur_reference(Aff, rhs, n_layer):
@@ -802,3 +807,113 @@ def test_floor_is_exact_above_its_band_and_c2_through_it():
     wm, dwm, _ = memsplate.fields._floored(u - h, floor, band)
     assert np.allclose(((wp - wm) / (2.0 * h))[inside], dw[inside], rtol=0.0, atol=1e-7)
     assert np.allclose(((dwp - dwm) / (2.0 * h))[inside], d2w[inside], rtol=0.0, atol=1e-5)
+
+
+def _pointwise(u, x, deriv):
+    """u at points x, evaluated without tables: locate, shapes, add shape by shape."""
+    e, xi = u.grid.locate(x)
+    N = shape_functions(xi, u.grid.h, deriv)
+    out = np.zeros_like(xi)
+    for j in range(4):
+        out += N[j] * u.dofs[2 * e + j]
+    return out
+
+
+@pytest.mark.parametrize("band", [False, True], ids=["free", "floor-band"])
+def test_gap_map_from_tables_keeps_every_bit(setup, rng, band):
+    # gap_map reads u and u' at the columns and x Gauss points from per-grid tables,
+    # shared by the solvers of one device and read-only; a band state's lowest nodes
+    # sit within 2 eps of the layer, where the floor blends
+    p, fam, grid, solver = setup
+    eps = memsplate.fields.contact_threshold(grid.h, p.H)
+    floored = memsplate.fields._floored
+    xq = solver._xq.ravel()
+    for _ in range(5):
+        if band:
+            u = PlateState.from_nodal(grid, -p.H + rng.uniform(0.0, 3.0 * eps, 33), rng.uniform(-0.01, 0.01, 33))
+        else:
+            u = PlateState(grid, rng.uniform(-0.5, 0.5, grid.n_dofs))
+        gm = solver.gap_map(u)
+        w, dw, _ = floored(_pointwise(u, solver.x, 0), eps - p.H, eps)
+        wq, dwq, d2wq = floored(_pointwise(u, xq, 0).reshape(-1, 2), eps - p.H, eps)
+        duq = _pointwise(u, xq, 1).reshape(-1, 2)
+        want = {"w": w, "gamma": w + p.H, "dgamma": dw * _pointwise(u, solver.x, 1), "gamma_q": wq + p.H,
+                "dgamma_q": dwq * duq, "du_q": duq, "dw_q": dwq, "d2w_q": d2wq}
+        for name, ref in want.items():
+            got = getattr(gm, name)
+            assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref)), name
+        assert gm.contact.any() == band
+    twin = FieldSolver(PhysicalParams(V=5.0), fam, solver.grid)
+    tables = solver._plate_at(grid)
+    assert twin._plate_at(PlateGrid(32, p.L)) is tables
+    assert not any(a.flags.writeable for t in tables for a in t)
+
+
+def test_floor_fast_path_keeps_the_blend_bits(rng):
+    # with no point in the band _floored returns u, 1 and 0 at once: the bits the blend gives there
+    floor, band = -0.99, 0.01
+    u = floor + band + rng.uniform(0.0, 2.0, 50) ** 3
+    u[:3] = floor + band, 0.0, -0.0
+    w, dw, d2w = memsplate.fields._floored(u, floor, band)
+    ref = [a[:-1] for a in memsplate.fields._floored(np.append(u, floor), floor, band)]  # one point in the band
+    for got, want in zip((w, dw, d2w), ref):
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("fgrid, sigma1", [
+    (FieldGrid(32, 16, 16), 1.0), (FieldGrid(27, 10, 8), 1.0),
+    (FieldGrid(32, 16, 16), lambda x, z: 1.0 + 0.3 * np.cos(x) + 0.2 * z),
+], ids=["reduced", "odd", "x-varying"])
+def test_ring_load_is_the_whole_stencil_load(fgrid, sigma1):
+    # the pinned values sit on the ring, so only the free nodes next to it carry a load;
+    # every other entry reads -0.0 as the whole stencil apply gives it
+    p = PhysicalParams(V=2.0, sigma1=sigma1)
+    solver = FieldSolver(p, build_canonical_boundary_data(PhysicalParams(V=2.0)), fgrid)
+    grid = PlateGrid(fgrid.n_x, p.L)
+    for u in (PlateState.zero(grid), interpolate(grid, lambda x: -p.H * np.cos(np.pi * x / 2) ** 4,
+                                                 lambda x: 2 * p.H * np.pi * np.cos(np.pi * x / 2) ** 3
+                                                 * np.sin(np.pi * x / 2))):
+        gm = solver.gap_map(u)
+        stencil, rhs, _ = solver._free_system(gm)
+        ref = -solver._apply_free(stencil[:-1, 1:-1], solver._dirichlet(gm))
+        assert np.array_equal(rhs, ref) and np.array_equal(np.signbit(rhs), np.signbit(ref))
+        assert np.signbit(rhs[rhs == 0.0]).all()
+
+
+def test_solvers_of_one_grid_share_the_gap_pattern():
+    p = PhysicalParams(V=2.0)
+    fam = build_canonical_boundary_data(p)
+    a, b = FieldSolver(p, fam, FieldGrid(16, 8, 8)), FieldSolver(PhysicalParams(V=5.0), fam, FieldGrid(16, 8, 8))
+    assert all(x is y for x, y in zip(a._gap_pattern, b._gap_pattern))
+    assert not any(x.flags.writeable for x in a._gap_pattern)
+    other = FieldSolver(p, fam, FieldGrid(16, 8, 12))._gap_pattern
+    assert other[0].size > a._gap_pattern[0].size
+    assert not any(np.shares_memory(x, y) for x, y in zip(a._gap_pattern, other))
+
+
+@pytest.mark.parametrize("varying_layer", [False, True])
+def test_condensed_csr_is_the_gap_stencil_less_the_correction(varying_layer):
+    # the later rows are gathered in one contiguous block, the interface row scattered
+    # and corrected: the same bits as the nine-point CSR of the gap rows less the correction
+    p, fgrid, solver, states = layer_device(varying_layer)
+    layer = memsplate.fields._condensed_layer(solver._layer_rows)
+    nj = fgrid.n_x - 1
+    for name, u in states.items():
+        stencil, _, _ = solver._free_system(solver.gap_map(u))
+        gap = stencil[:-1, 1:-1]
+        keep, indices, indptr = _nine_point_pattern(*gap.shape[:2])
+        ref = sp.csr_matrix((gap[keep], indices, indptr)).toarray()
+        ref[:nj, :nj] -= layer.correction
+        assert np.array_equal(solver._condensed_system(stencil, layer).toarray(), ref), name
+
+
+def test_a_direct_sine_solve_builds_no_csr(setup, monkeypatch):
+    # the rest state's solve is direct by the sine transform, which never reads the CSR block
+    p, fam, grid, solver = setup
+    built, condense = [], FieldSolver._condensed_system
+    monkeypatch.setattr(FieldSolver, "_condensed_system", lambda self, *a: built.append(1) or condense(self, *a))
+    pf = solver.solve(PlateState.zero(grid))
+    assert isinstance(pf.factor, memsplate.fields._SineSolver) and built == []
+    u = interpolate(grid, lambda x: -0.1 * np.cos(np.pi * x / 2) ** 2, lambda x: 0.05 * np.pi * np.sin(np.pi * x))
+    assert solver.solve(u, factor=pf.factor).factor is pf.factor and built == [1]
+    assert not isinstance(solver.solve(u).factor, memsplate.fields._SineSolver) and built == [1, 1]

@@ -240,3 +240,41 @@ def test_element_kernel_matches_per_element_loops(grid, rng):
     ref_val, ref_grad, ref_active = _loop_penalty(u, 0.2, 3.0)
     assert active and ref_active and val > 0.0
     assert val == ref_val and np.array_equal(grad, ref_grad)
+
+
+def _pointwise(u, x, deriv):
+    """u at points x as PlateState evaluated them before its shapes were tabulated: locate, shapes, add by shape."""
+    e, xi = u.grid.locate(np.asarray(x, dtype=float))
+    N = shape_functions(xi, u.grid.h, deriv)
+    out = np.zeros_like(xi)
+    for j in range(4):
+        out += N[j] * u.dofs[2 * e + j]
+    return out
+
+
+def test_tabulated_shapes_keep_every_bit(rng):
+    # the Gauss-point shapes and the element DOFs are built once per grid, read-only,
+    # and every evaluation from them has the bits of the evaluation that builds them
+    grid = PlateGrid(32, 1.0)
+    u = PlateState(grid, rng.uniform(-1.0, 1.0, grid.n_dofs))
+    for n, deriv in ((4, 1), (4, 2), (6, 0)):
+        N = grid.gauss_shapes(n, deriv)
+        assert N is PlateGrid(32, 1.0).gauss_shapes(n, deriv) and not N.flags.writeable
+        assert np.array_equal(u.at_local(N), u.local(gauss_rule(n)[0], deriv))
+    assert grid.conn is PlateGrid(32, 1.0).conn and not grid.conn.flags.writeable
+    assert PlateGrid(16, 1.0).conn.shape == (16, 4)  # another grid builds its own
+    x = rng.uniform(-1.0, 1.0, 300)
+    for deriv in (0, 1, 2):
+        assert np.array_equal(u(x, deriv), _pointwise(u, x, deriv))
+        assert np.array_equal(u.at(*grid.shapes_at(x, deriv)), u(x, deriv))
+
+
+def test_scatter_adds_in_element_order_bit_for_bit(rng):
+    # bincount adds each element's entries in turn, as np.add.at does, signed zeros included
+    grid = PlateGrid(16, 1.0)
+    vals = rng.standard_normal((16, 4)) * 10.0 ** rng.integers(-12, 12, (16, 4))
+    vals[rng.random((16, 4)) < 0.3] = -0.0
+    ref = np.zeros(grid.n_dofs)
+    np.add.at(ref, grid.conn, vals)
+    got = grid.scatter(vals)
+    assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))

@@ -702,6 +702,19 @@ def test_cli_sweep_through_touchdown_certifies_every_point(tmp_path, vmax):
     assert float(rows[-1]["min_u"]) == -1.0 and float(rows[-1]["contact_measure"]) > 0.0
 
 
+def test_cli_descending_sweep_certifies_its_rest_point(tmp_path):
+    # the warm-started V = 0 point ends at rest up to rounding, E about 2e-28 above E_rest = 0:
+    # energy_below_rest allows the descent's noise floor, taken over its start's terms as well
+    out = tmp_path / "down"
+    rc = main(["sweep", "--config", _reduced_config(tmp_path), "--vmin", "2", "--vmax", "0", "--steps", "3",
+               "--out", str(out)])
+    assert rc == 0
+    point = json.loads((out / "V_0" / "point.json").read_text())
+    cert = point["certificate"]
+    assert point["certified"] and cert["energy_below_rest"] and cert["E_rest"] == 0.0
+    assert 0.0 <= cert["E"] <= 1e-20
+
+
 def test_cli_sweep_pull_in_hysteresis(tmp_path):
     # at 5.5 V the reduced device has two certified states: loading from rest
     # leaves the plate free, unloading from 11 V keeps it on the layer at a

@@ -215,6 +215,24 @@ def test_warm_start_compares_against_the_rest_state(ctx32, solved32):
     assert cert_w["energy_below_rest"] and cert_w["certified"]
 
 
+@pytest.mark.parametrize("amplitude", [1e-10, 0.3])
+def test_energy_below_rest_allows_only_the_descent_noise_floor(monkeypatch, amplitude):
+    # a "descent" that stays at its warm start above rest: its energy exceeds E_rest = 0 by
+    # more than 64 ulps of the terms of E_rest, its start and its end, however small it is
+    import memsplate.minimize
+
+    def stay(u0, k, ctx):
+        report = energy_total(u0, k, ctx)
+        report.converged, report.trajectory = True, [{"E_m": report.E_m, "E_e": report.E_e, "E_k": report.E_k}]
+        return u0, report
+
+    monkeypatch.setattr(memsplate.minimize, "minimize_Ek", stay)
+    ctx = make_context(PhysicalParams(V=0.0), n_elems=16, field_grid=FieldGrid(16, 8, 8))
+    u0 = PlateState.from_nodal(ctx.plate, amplitude * np.cos(np.pi * ctx.plate.nodes / 2) ** 2, np.zeros(17))
+    u, rep, cert = continuation_pipeline(ctx, u0)
+    assert cert["E_rest"] == 0.0 < cert["E"] and not cert["energy_below_rest"] and not cert["certified"]
+
+
 @pytest.mark.parametrize("settings, status", [
     (SolverSettings(max_outer=1), "MaxIterations"),
     (SolverSettings(tol_vi_factor=1e-16, max_outer=100), "StalledDescent"),
