@@ -608,7 +608,7 @@ class FieldSolver:
         data[:first] = 0.0
         data[nine] = flat[src[:nine.size]]
         data[dense] -= layer.correction.ravel()
-        np.take(flat, src[nine.size:], out=data[first:], mode="clip")
+        np.take(flat, src[nine.size:], out=data[first:], mode="clip")  # mode="raise" would buffer out
         return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
     # -- solve ---------------------------------------------------------------

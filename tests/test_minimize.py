@@ -233,6 +233,25 @@ def test_energy_below_rest_allows_only_the_descent_noise_floor(monkeypatch, ampl
     assert cert["E_rest"] == 0.0 < cert["E"] and not cert["energy_below_rest"] and not cert["certified"]
 
 
+@pytest.mark.parametrize("floors, below", [(0.5, True), (2.0, False)])
+def test_energy_below_rest_allowance_is_the_noise_floor(monkeypatch, floors, below):
+    # a "descent" from rest that reports E above E_rest by a multiple of the noise floor,
+    # 64 ulps of |E_m| + |E_e| + penalty over the rest state, its start (rest again) and its end
+    import memsplate.minimize
+
+    def shifted(u0, k, ctx):
+        report = energy_total(u0, k, ctx)
+        rest = {"E_m": report.E_m, "E_e": report.E_e, "E_k": report.E_k}
+        noise = memsplate.minimize._NOISE_ULPS * np.finfo(float).eps * 3.0 * abs(report.E_m + report.E_e)
+        report.E, report.converged, report.trajectory = report.E + floors * noise, True, [rest]
+        return u0, report
+
+    monkeypatch.setattr(memsplate.minimize, "minimize_Ek", shifted)
+    ctx = make_context(PhysicalParams(V=2.0), n_elems=16, field_grid=FieldGrid(16, 8, 8))
+    _, _, cert = continuation_pipeline(ctx)
+    assert cert["E_rest"] < cert["E"] and cert["energy_below_rest"] == below
+
+
 @pytest.mark.parametrize("settings, status", [
     (SolverSettings(max_outer=1), "MaxIterations"),
     (SolverSettings(tol_vi_factor=1e-16, max_outer=100), "StalledDescent"),
