@@ -9,6 +9,7 @@ from memsplate import (
     make_context,
     solve_comparison_bvp,
 )
+from memsplate.hermite import shape_functions
 
 
 @pytest.fixture(scope="session")
@@ -69,3 +70,13 @@ def comparison_bound_battery(beta, tau_values, G0_values, L, H, n_intervals, see
                     violations.append((a, b, tau, G0, bvp.max_abs, kap))
     return {"worst_ratio": worst, "cases": count_by_case, "violations": violations,
             "pass": not violations}
+
+
+def pointwise(u, x, deriv):
+    """u (or a derivative) at points x without tabulated shapes: locate, shapes, add shape by shape."""
+    e, xi = u.grid.locate(np.asarray(x, dtype=float))
+    N = shape_functions(xi, u.grid.h, deriv)
+    out = np.zeros_like(xi)
+    for j in range(4):
+        out += N[j] * u.dofs[2 * e + j]
+    return out

@@ -20,7 +20,7 @@ from memsplate import (
 )
 from memsplate.errors import LinearSolveFailed
 from memsplate.fields import _NXI, _NZE, _W, _nine_point_pattern
-from memsplate.hermite import shape_functions
+from conftest import pointwise as _pointwise
 
 
 def node_numbers(solver):
@@ -807,16 +807,6 @@ def test_floor_is_exact_above_its_band_and_c2_through_it():
     wm, dwm, _ = memsplate.fields._floored(u - h, floor, band)
     assert np.allclose(((wp - wm) / (2.0 * h))[inside], dw[inside], rtol=0.0, atol=1e-7)
     assert np.allclose(((dwp - dwm) / (2.0 * h))[inside], d2w[inside], rtol=0.0, atol=1e-5)
-
-
-def _pointwise(u, x, deriv):
-    """u at points x, evaluated without tables: locate, shapes, add shape by shape."""
-    e, xi = u.grid.locate(x)
-    N = shape_functions(xi, u.grid.h, deriv)
-    out = np.zeros_like(xi)
-    for j in range(4):
-        out += N[j] * u.dofs[2 * e + j]
-    return out
 
 
 @pytest.mark.parametrize("band", [False, True], ids=["free", "floor-band"])

@@ -13,6 +13,7 @@ from memsplate import (
     project_obstacle,
 )
 from memsplate.errors import SingularAssembly
+from conftest import pointwise
 from memsplate.hermite import clamped_dof_indices, gauss_rule, shape_functions
 from memsplate.minimize import penalty_value_grad
 
@@ -242,16 +243,6 @@ def test_element_kernel_matches_per_element_loops(grid, rng):
     assert val == ref_val and np.array_equal(grad, ref_grad)
 
 
-def _pointwise(u, x, deriv):
-    """u at points x as PlateState evaluated them before its shapes were tabulated: locate, shapes, add by shape."""
-    e, xi = u.grid.locate(np.asarray(x, dtype=float))
-    N = shape_functions(xi, u.grid.h, deriv)
-    out = np.zeros_like(xi)
-    for j in range(4):
-        out += N[j] * u.dofs[2 * e + j]
-    return out
-
-
 def test_tabulated_shapes_keep_every_bit(rng):
     # the Gauss-point shapes and the element DOFs are built once per grid, read-only,
     # and every evaluation from them has the bits of the evaluation that builds them
@@ -265,7 +256,7 @@ def test_tabulated_shapes_keep_every_bit(rng):
     assert PlateGrid(16, 1.0).conn.shape == (16, 4)  # another grid builds its own
     x = rng.uniform(-1.0, 1.0, 300)
     for deriv in (0, 1, 2):
-        assert np.array_equal(u(x, deriv), _pointwise(u, x, deriv))
+        assert np.array_equal(u(x, deriv), pointwise(u, x, deriv))
         assert np.array_equal(u.at(*grid.shapes_at(x, deriv)), u(x, deriv))
 
 
